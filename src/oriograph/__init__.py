@@ -9,7 +9,6 @@ from .core import (
     OrientedGraph,
     Orientation,
     Partition,
-    index_vector,
     parse,
     parse_partition,
     read_graph,
@@ -55,7 +54,6 @@ from .analysis import (
     cyclic_edge_stat,
     cyclic_edge_window,
     d_copies_floor,
-    d_copies_through,
     d_copy_counts,
     extremal_check,
     find_extremal_partition,

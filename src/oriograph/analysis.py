@@ -3,7 +3,7 @@
 Two statistics drive the degree arguments for near-semi-regular hosts.
 cyclic_edge_stat(G, v) counts edges from the out-neighbourhood of v into
 its in-neighbourhood, which is exactly the number of directed triangles
-through v.  d_copies_through(G, v) counts 4-sets containing v that
+through v.  d_copy_counts(G)[v] counts 4-sets containing v that
 induce the strongly connected 4-vertex tournament (the one with score
 multiset {1, 1, 2, 2}).  For a host on n vertices write c for
 1/2 - delta^0/n; the statistics should land in [ (1/8 - 2c) n^2,
@@ -34,29 +34,9 @@ def cyclic_edge_stat(graph, v):
     return sum((graph.out_rows[u] & inrow).bit_count() for u in bits(graph.out_rows[v]))
 
 
-def d_copies_through(graph, v):
-    """4-sets containing v inducing the strong 4-vertex tournament."""
-    graph._check_vertex(v)
-    others = [u for u in range(graph.n) if u != v]
-    out = graph.out_rows
-    count = 0
-    for a, b, c in combinations(others, 3):
-        mask = 1 << v | 1 << a | 1 << b | 1 << c
-        scores = sorted(
-            (
-                (out[v] & mask).bit_count(),
-                (out[a] & mask).bit_count(),
-                (out[b] & mask).bit_count(),
-                (out[c] & mask).bit_count(),
-            )
-        )
-        if scores == [1, 1, 2, 2]:
-            count += 1
-    return count
-
-
 def d_copy_counts(graph):
-    """d_copies_through for every vertex, via one pass over all 4-sets."""
+    """Per vertex, the 4-sets containing it that induce the strong 4-vertex
+    tournament, via one pass over all 4-sets."""
     out = graph.out_rows
     counts = [0] * graph.n
     for a, b, c, d in combinations(range(graph.n), 4):

@@ -6,7 +6,9 @@ statistic reports, drive the enumeration/sampling probes, and replay the
 built-in claim checklist.
 
 Exit codes: 0 success / found / verified, 1 not found / refuted,
-2 usage or I/O error, 3 search gave up on its node budget.  With --json
+2 usage or I/O error or a resource cap hit, 3 search gave up on its node
+budget.  `lattice --target` refutes (exit 1) only at --threshold 1, where
+the lattice is built from every copy vector.  With --json
 a single JSON document (sorted keys) goes to stdout; logs go to stderr.
 """
 
@@ -27,18 +29,9 @@ from .core import (
     write_graph,
     write_partition,
 )
-from .errors import BudgetExceededError, ParseError
+from .errors import BudgetExceededError, ParseError, ResourceLimitError
 
 log = logging.getLogger("oriograph")
-
-
-def _threads(args):
-    env = os.environ.get("ORIOGRAPH_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    if args.threads is not None:
-        return max(1, args.threads)
-    return os.cpu_count() or 1
 
 
 def _emit(args, doc, human):
@@ -198,7 +191,7 @@ def cmd_lattice(args):
     hyper = tiling.copy_hypergraph(pattern, host, budget=args.budget)
     report = lattice.edge_vectors(hyper, partition, threshold=args.threshold)
     transferrals = lattice.find_2_transferrals(report)
-    modulus = args.mod if args.mod else pattern.n
+    modulus = pattern.n if args.mod is None else args.mod
     lat = lattice.residue_lattice(report.robust, modulus, partition.d)
     doc = {
         "copies": len(hyper.edges),
@@ -236,7 +229,9 @@ def cmd_lattice(args):
             print(f"target {doc['target']} is {word} the lattice")
 
     _emit(args, doc, human)
-    if verdict is False:
+    # Above threshold 1 the lattice comes from a subset of the copy
+    # vectors, so a target outside it is no refutation.
+    if verdict is False and args.threshold == 1:
         return 1
     return 0
 
@@ -407,9 +402,15 @@ def cmd_verify_paper(args):
     return 0 if report["summary"]["fail"] == 0 else 1
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None, help="worker threads (env ORIOGRAPH_THREADS overrides)")
     common.add_argument("--seed", default="0", help="seed for randomized subcommands")
     common.add_argument("--json", action="store_true", help="emit a single JSON document on stdout")
     common.add_argument("--budget", type=int, default=None, help="search node budget")
@@ -446,7 +447,7 @@ def build_parser():
     p.add_argument("--host", required=True)
     p.add_argument("--parts", required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--mod", type=int, default=None, help="lattice modulus (default pattern order)")
+    p.add_argument("--mod", type=_positive_int, default=None, help="lattice modulus (default pattern order)")
     p.add_argument("--target", help="comma-separated index vector to test for membership")
     p.add_argument("--threshold", type=int, default=1, help="robustness count threshold")
     p.set_defaults(func=cmd_lattice)
@@ -490,7 +491,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    log.debug("threads=%d", _threads(args))
     try:
         return args.func(args)
     except BudgetExceededError as exc:
@@ -499,7 +499,7 @@ def main(argv=None):
     except ParseError as exc:
         log.error("%s", exc)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ResourceLimitError) as exc:
         log.error("%s", exc)
         return 2
 

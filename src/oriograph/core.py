@@ -264,10 +264,6 @@ class Partition:
         return f"Partition(sizes={tuple(len(p) for p in self.parts)})"
 
 
-def index_vector(partition, vertices):
-    return partition.index_vector(vertices)
-
-
 @dataclass(frozen=True)
 class Embedding:
     """Injective map pattern -> host sending every pattern edge to a host edge."""
@@ -275,9 +271,6 @@ class Embedding:
     pattern: OrientedGraph
     host: OrientedGraph
     mapping: tuple
-
-    def image(self):
-        return frozenset(self.mapping)
 
     def image_mask(self):
         mask = 0

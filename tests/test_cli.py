@@ -254,7 +254,19 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_threads_env_override(paths, capsys, monkeypatch):
-    monkeypatch.setenv("ORIOGRAPH_THREADS", "2")
-    code, doc = run_json(capsys, "analyze", "--host", paths["t7"], "--threads", "8")
-    assert code == 0
+@pytest.mark.parametrize(
+    "extra, expected",
+    [
+        (["--mod", "200"], 2),  # 200^3 lattice states exceed the cap
+        (["--mod", "0"], 2),
+        # the robust lattice at threshold 2 omits the (0,0,3) copy, so a
+        # target outside it refutes nothing
+        (["--threshold", "2", "--target", "1,2,3"], 0),
+    ],
+)
+def test_lattice_exit_codes(paths, capsys, caplog, extra, expected):
+    parts = paths["barrier2"].replace(".dg", ".parts")
+    argv = ["lattice", "--pattern", paths["c3"], "--host", paths["barrier2"], "--parts", parts]
+    code, _ = run(capsys, *argv, *extra)
+    assert code == expected
+    assert all("\n" not in r.getMessage() for r in caplog.records)

@@ -7,6 +7,7 @@ import pytest
 
 from oriograph.core import OrientedGraph, isomorphic_brute
 from oriograph.generators import d_abc, f_r, graph_s, rotational
+from oriograph.oracles import random_oriented
 from oriograph.search import (
     canonical_form,
     canonical_form_bruteforce,
@@ -17,17 +18,6 @@ from oriograph.search import (
     tileability_probe,
     turanability_probe,
 )
-
-
-def random_oriented(rng, n):
-    edges = []
-    for i, j in combinations(range(n), 2):
-        r = rng.random()
-        if r < 1 / 3:
-            edges.append((i, j))
-        elif r < 2 / 3:
-            edges.append((j, i))
-    return OrientedGraph(n, edges)
 
 
 def relabel(graph, perm):

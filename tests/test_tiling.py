@@ -2,13 +2,21 @@
 enumeration oracle."""
 
 import random
-from itertools import combinations
 
 import pytest
 
 from oriograph.core import OrientedGraph
-from oriograph.embed import find_embedding
-from oriograph.generators import blow_up, c3_barrier, d_abc, f_r, rotational, t_sk
+from oriograph.generators import (
+    blow_up,
+    c3_barrier,
+    cycle_power,
+    d_abc,
+    f_r,
+    graph_s,
+    rotational,
+    t_sk,
+)
+from oriograph.oracles import random_tournament, tilable
 from oriograph.tiling import (
     FOUND,
     INCONCLUSIVE,
@@ -24,39 +32,9 @@ from oriograph.tiling import (
 )
 
 
-def random_tournament(rng, n):
-    return OrientedGraph(
-        n, [(i, j) if rng.random() < 0.5 else (j, i) for i, j in combinations(range(n), 2)]
-    )
-
-
-def brute_force_tilable(pattern, host):
-    k = pattern.n
-    if host.n == 0:
-        return True
-    if host.n % k:
-        return False
-    target = pattern.edge_count
-
-    def blocks(remaining):
-        if not remaining:
-            return True
-        first = min(remaining)
-        rest = sorted(remaining - {first})
-        for others in combinations(rest, k - 1):
-            block = frozenset((first, *others))
-            sub = host.induced(block)
-            if sub.edge_count == target and find_embedding(pattern, sub):
-                if blocks(remaining - block):
-                    return True
-        return False
-
-    return blocks(frozenset(range(host.n)))
-
-
 def test_copy_hypergraph_counts():
     triangle = f_r(1)
-    assert copy_hypergraph(triangle, triangle).edges == ((0, 1, 2),)
+    assert copy_hypergraph(triangle, triangle).edges == (0b111,)
     host, _ = c3_barrier(2)
     hyper = copy_hypergraph(triangle, host)
     assert len(hyper.edges) == 7
@@ -65,7 +43,6 @@ def test_copy_hypergraph_counts():
     c52 = rotational(5, [1, 2])
     hyper = copy_hypergraph(d, c52)
     assert len(hyper.edges) == 5  # every 4-subset induces a copy
-    assert hyper.degree(0) == 4
 
 
 def test_perfect_tiling_found_and_verified():
@@ -76,6 +53,16 @@ def test_perfect_tiling_found_and_verified():
     assert verify_tiling(f_r(1), host, result.tiling)
     used = sorted(v for copy in result.tiling.copies for v in copy)
     assert used == list(range(6))
+
+
+def test_copies_need_not_be_induced():
+    # S has two non-adjacent pairs, C_5^2 is a tournament: S embeds onto
+    # all five vertices although they induce more edges than S has
+    s, c52 = graph_s(), cycle_power(5, 2)
+    assert copy_hypergraph(s, c52).edges == (0b11111,)
+    result = perfect_tiling(s, c52)
+    assert result.mode == FOUND
+    assert result.tiling.copies == ((0, 1, 2, 3, 4),)
 
 
 def test_divisibility_refutation():
@@ -113,7 +100,7 @@ def test_verify_tiling_accepts_partial_rejects_garbage():
     triangle = f_r(1)
     base = rotational(3, [1])
     host, _ = blow_up(base, 2)
-    # 0 and 1 share a blow-up class, so {0, 1, 2} induces no triangle
+    # 0 and 1 share a blow-up class, so {0, 1, 2} contains no triangle
     assert not verify_tiling(triangle, host, Tiling(copies=((0, 1, 2),)))
     # overlapping blocks fail even if each one is a copy
     assert not verify_tiling(triangle, host, Tiling(copies=((0, 2, 4), (0, 3, 5))))
@@ -145,13 +132,13 @@ def test_hypergraph_matching_budget():
 
 def test_oracle_agreement_on_random_instances():
     rng = random.Random("tiling-oracle")
-    triangle = f_r(1)
-    strong4, _ = d_abc(1, 1, 2)
-    for trial in range(60):
-        pattern = triangle if trial % 2 == 0 else strong4
+    path = OrientedGraph(3, [(0, 1), (1, 2)])
+    patterns = (f_r(1), d_abc(1, 1, 2)[0], graph_s(), path)
+    for trial in range(120):
+        pattern = patterns[trial % len(patterns)]
         n = pattern.n * rng.randrange(1, 3)
         host = random_tournament(rng, n)
         result = perfect_tiling(pattern, host)
-        assert (result.mode == FOUND) == brute_force_tilable(pattern, host), trial
+        assert (result.mode == FOUND) == tilable(pattern, host), trial
         if result.mode == FOUND:
             assert verify_tiling(pattern, host, result.tiling)
