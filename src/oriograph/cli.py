@@ -410,10 +410,13 @@ def _positive_int(text):
 
 
 def build_parser():
+    # each subcommand takes only the flags it reads
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", default="0", help="seed for randomized subcommands")
     common.add_argument("--json", action="store_true", help="emit a single JSON document on stdout")
-    common.add_argument("--budget", type=int, default=None, help="search node budget")
+    budgeted = argparse.ArgumentParser(add_help=False)
+    budgeted.add_argument("--budget", type=int, default=None, help="search node budget")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", default="0", help="seed for randomized search")
 
     parser = argparse.ArgumentParser(
         prog="oriograph",
@@ -427,7 +430,9 @@ def build_parser():
     p.add_argument("-o", "--output", help="output .dg path (default stdout)")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("embed", parents=[common], help="search for one pattern copy in a host")
+    p = sub.add_parser(
+        "embed", parents=[common, budgeted], help="search for one pattern copy in a host"
+    )
     p.add_argument("--pattern", required=True)
     p.add_argument("--host", required=True)
     p.add_argument("--parts", help="host partition sidecar")
@@ -436,14 +441,16 @@ def build_parser():
     group.add_argument("--vectors", action="store_true", help="list index vectors of all copies")
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("tile", parents=[common], help="search for a perfect tiling")
+    p = sub.add_parser("tile", parents=[common, budgeted], help="search for a perfect tiling")
     p.add_argument("--pattern", required=True)
     p.add_argument("--host", required=True)
     p.add_argument("--parts", help="host partition sidecar, enables the lattice pre-check")
     p.add_argument("--certificate", help="write the result JSON here as well")
     p.set_defaults(func=cmd_tile)
 
-    p = sub.add_parser("lattice", parents=[common], help="edge-vector and residue-lattice report")
+    p = sub.add_parser(
+        "lattice", parents=[common, budgeted], help="edge-vector and residue-lattice report"
+    )
     p.add_argument("--host", required=True)
     p.add_argument("--parts", required=True)
     p.add_argument("--pattern", required=True)
@@ -452,26 +459,32 @@ def build_parser():
     p.add_argument("--threshold", type=int, default=1, help="robustness count threshold")
     p.set_defaults(func=cmd_lattice)
 
-    p = sub.add_parser("analyze", parents=[common], help="vertex statistics or extremal structure")
+    p = sub.add_parser(
+        "analyze", parents=[common, seeded], help="vertex statistics or extremal structure"
+    )
     p.add_argument("--host", required=True)
     p.add_argument("--parts", help="candidate partition for the extremal check")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--stats", choices=["vertex", "extremal"], default="vertex")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("search", parents=[common], help="enumeration and sampling probes")
+    p = sub.add_parser("search", help="enumeration and sampling probes")
     ssub = p.add_subparsers(dest="search_cmd", required=True)
     q = ssub.add_parser("enumerate-rt", parents=[common], help="regular tournaments up to isomorphism")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--out-dir", help="also write each class as a .dg file")
     q.set_defaults(func=cmd_search)
-    q = ssub.add_parser("probe", parents=[common], help="pattern containment over tournament corpora")
+    q = ssub.add_parser(
+        "probe", parents=[common, budgeted, seeded], help="pattern containment over tournament corpora"
+    )
     q.add_argument("--pattern", required=True)
     q.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
     q.add_argument("--n", required=True, help="comma-separated host orders")
     q.add_argument("--samples", type=int, default=20)
     q.set_defaults(func=cmd_search)
-    q = ssub.add_parser("tile-probe", parents=[common], help="perfect-tiling evidence over samples")
+    q = ssub.add_parser(
+        "tile-probe", parents=[common, budgeted, seeded], help="perfect-tiling evidence over samples"
+    )
     q.add_argument("--pattern", required=True)
     q.add_argument("--n", required=True, help="comma-separated host orders")
     q.add_argument("--samples", type=int, default=20)

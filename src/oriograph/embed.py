@@ -86,7 +86,12 @@ def _mappings(pattern, host, budget=None):
             image[slot] = w
             yield from extend(slot + 1, used | 1 << w)
 
-    yield from extend(0, 0)
+    try:
+        yield from extend(0, 0)
+    finally:
+        # the recursive closure is a reference cycle that would leave the
+        # constraint and degree-mask lists to the cyclic garbage collector
+        del extend
 
 
 def iter_embeddings(pattern, host, budget=None):

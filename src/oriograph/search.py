@@ -11,12 +11,22 @@ twin is kept alongside as a cross-check oracle.
 Regular tournaments are enumerated by orienting the upper-triangle pairs
 in lexicographic order under running out-degree bounds, deduplicating
 leaves up to isomorphism, and returning canonical representatives in
-sorted order.  Random semi-regular tournaments come from a reversal
-walk: starting from the deterministic semi-regular tournament, repeatedly
-pick a directed triangle and reverse it (this preserves every degree),
-emitting the state after a fixed number of accepted moves.  The walk is
-assumed, not proven, to mix well; probes that use it are labelled as
-sampled evidence.
+sorted order.
+
+Random semi-regular tournaments come from the 3-cycle reversal walk of
+Brualdi and Li (analysed by Kannan, Tetali and Vempala): starting from the
+deterministic semi-regular tournament, repeatedly reverse a uniformly
+chosen cyclic triangle (this preserves every degree), emitting the state
+after a fixed number of accepted moves.  A trial proposes a directed
+2-path u -> v -> w by drawing v uniformly, then w from v's out-neighbours
+and u from its in-neighbours, and accepts iff w -> u.  In a semi-regular
+tournament d+(v) * d-(v) is the same for every v, so every 2-path is
+proposed with the same probability; a cyclic triangle is exactly three
+2-paths, so every cyclic triangle is equally likely.  This is the same
+chain as drawing uniform vertex triples until one spans a cyclic
+triangle, in about a quarter of the trials, with its own seeded
+realisations.  The walk is assumed, not proven, to mix well; probes that
+use it are labelled as sampled evidence.
 """
 
 from __future__ import annotations
@@ -241,30 +251,72 @@ def random_semi_regular(n, seed=0, moves_per_pair=50):
     Starts at the deterministic semi-regular tournament on n vertices and
     applies moves_per_pair * n^2 accepted directed-triangle reversals;
     each reversal preserves all out- and in-degrees.
+
+    Each vertex keeps its other vertices in one list, out-neighbours
+    first, with a position table.  A trial draws v, an out-neighbour w and
+    an in-neighbour u of v and accepts iff w -> u; the reversal swaps two
+    entries in each of the three lists, and the out-rows are built once
+    at the end.  d+(v) * d-(v) is ((n-1)/2)^2 for odd n and (n/2)(n/2 - 1)
+    for even n at every v, so each 2-path is proposed with probability
+    1 / (n d+ d-) and each cyclic triangle (three 2-paths) equally often:
+    the same chain as rejection over uniform vertex triples, with its own
+    seeded realisations.
     """
     if n < 3:
         raise ValueError("need at least 3 vertices")
     start = semi_regular_tournament(n)
-    rows = list(start.out_rows)
+    # order[v]: the other vertices, the outdeg[v] out-neighbours first;
+    # pos[v][x]: the index of x in order[v]
+    order, pos, outdeg = [], [], []
+    for v, row in enumerate(start.out_rows):
+        outs = [x for x in range(n) if row >> x & 1]
+        line = outs + [x for x in range(n) if x != v and not row >> x & 1]
+        where = [0] * n
+        for i, x in enumerate(line):
+            where[x] = i
+        order.append(line)
+        pos.append(where)
+        outdeg.append(len(outs))
+    indeg = [n - 1 - d for d in outdeg]
     rng = random.Random(f"walk:{n}:{seed}")
     rand = rng.random
     accepted = 0
     needed = moves_per_pair * n * n
     while accepted < needed:
-        u = int(rand() * n)
+        # propose the 2-path u -> v -> w; accept iff w -> u closes a 3-cycle
         v = int(rand() * n)
-        w = int(rand() * n)
-        if u == v or u == w or v == w:
+        dv = outdeg[v]
+        a = int(rand() * dv)
+        b = dv + int(rand() * indeg[v])
+        ov = order[v]
+        w = ov[a]
+        u = ov[b]
+        pw = pos[w]
+        c = pw[u]
+        if c >= outdeg[w]:
             continue
-        # accept orientation u -> v -> w -> u
-        if rows[u] >> v & 1 and rows[v] >> w & 1 and rows[w] >> u & 1:
-            rows[u] = rows[u] ^ 1 << v
-            rows[v] = rows[v] ^ 1 << w
-            rows[w] = rows[w] ^ 1 << u
-            rows[v] |= 1 << u
-            rows[w] |= 1 << v
-            rows[u] |= 1 << w
-            accepted += 1
+        # reverse to v -> u -> w -> v: in each list the two entries trade places
+        pv = pos[v]
+        ov[a] = u
+        ov[b] = w
+        pv[u] = a
+        pv[w] = b
+        ow = order[w]
+        d = pw[v]
+        ow[c] = v
+        ow[d] = u
+        pw[v] = c
+        pw[u] = d
+        ou = order[u]
+        pu = pos[u]
+        e = pu[v]
+        f = pu[w]
+        ou[e] = w
+        ou[f] = v
+        pu[w] = e
+        pu[v] = f
+        accepted += 1
+    rows = [sum(1 << x for x in order[v][:outdeg[v]]) for v in range(n)]
     return OrientedGraph.from_out_rows(n, rows)
 
 

@@ -252,6 +252,11 @@ def test_usage_errors(tmp_path, capsys):
     bad.write_text("3 1\n0 99\n")
     assert cli.main(["analyze", "--host", str(bad)]) == 2
     capsys.readouterr()
+    # subcommands reject the flags they would not read
+    assert cli.main(["verify-paper", "--budget", "1"]) == 2
+    assert cli.main(["generate", "s", "--seed", "1"]) == 2
+    assert cli.main(["search", "enumerate-rt", "--n", "5", "--budget", "1"]) == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Embedding search against a brute-force permutation oracle."""
 
+import gc
 import random
 
 import pytest
@@ -98,3 +99,15 @@ def test_turan_witnesses():
     assert turan_witnesses(d, 3, 3) == (2, 2)
     triangle = f_r(1)
     assert turan_witnesses(triangle, 3, 3) == (1, 1)
+
+
+def test_search_leaves_no_cyclic_garbage():
+    s, host = graph_s(), rotational(7, [1, 2, 4])
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(200):
+            assert find_embedding(s, host) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,12 +1,13 @@
 """Canonical forms, tournament enumeration, the sampler, and the probes."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
 from oriograph.core import OrientedGraph, isomorphic_brute
-from oriograph.generators import d_abc, f_r, graph_s, rotational
+from oriograph.generators import d_abc, f_r, graph_s, rotational, semi_regular_tournament
 from oriograph.oracles import random_oriented
 from oriograph.search import (
     canonical_form,
@@ -84,11 +85,36 @@ def test_sampler_properties():
         g = random_semi_regular(n, seed=3)
         assert g.n == n
         assert g.classify().is_semi_regular
+        start = semi_regular_tournament(n)
+        assert [g.out_degree(v) for v in range(n)] == [start.out_degree(v) for v in range(n)]
     assert random_semi_regular(9, seed=5) == random_semi_regular(9, seed=5)
     walks = {random_semi_regular(9, seed=s) for s in range(6)}
     assert len(walks) > 1
     with pytest.raises(ValueError):
         random_semi_regular(2)
+
+
+def test_sampler_class_frequencies_at_7():
+    # the walk's stationary law is uniform over labeled regular tournaments,
+    # so the three classes on 7 vertices occur in the proportions
+    # 7!/|Aut| = 720 : 1680 : 240
+    reps = enumerate_regular_tournaments(7)
+    weight = {}
+    for g in reps:
+        automorphisms = sum(
+            all(g.has_edge(p[u], p[v]) for u, v in g.edges()) for p in permutations(range(7))
+        )
+        weight[canonical_form(g)] = factorial(7) // automorphisms
+    assert sorted(weight.values()) == [240, 720, 1680]
+    samples = 700
+    counts = dict.fromkeys(weight, 0)
+    for i in range(samples):
+        counts[canonical_form(random_semi_regular(7, seed=f"chi:{i}"))] += 1
+    total = sum(weight.values())
+    chi2 = sum(
+        (counts[f] - samples * w / total) ** 2 / (samples * w / total) for f, w in weight.items()
+    )
+    assert chi2 < 13.82, (counts, chi2)  # p = 0.001 at 2 degrees of freedom
 
 
 def test_turanability_probe_exhaustive():
