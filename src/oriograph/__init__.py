@@ -7,7 +7,6 @@ from .core import (
     Embedding,
     MAX_VERTICES,
     OrientedGraph,
-    Orientation,
     Partition,
     parse,
     parse_partition,
@@ -73,7 +72,6 @@ from .tiling import (
     Tiling,
     TilingResult,
     copy_hypergraph,
-    greedy_tiling,
     hypergraph_perfect_matching,
     perfect_tiling,
     verify_tiling,

@@ -26,6 +26,8 @@ from itertools import combinations, permutations
 
 from .core import Partition, bits
 
+RESTARTS = 30
+
 
 def cyclic_edge_stat(graph, v):
     """Edges from N+(v) to N-(v): the number of directed triangles through v."""
@@ -85,7 +87,6 @@ def d_copies_floor(graph):
 @dataclass(frozen=True)
 class ExtremalVerdict:
     ok: bool
-    gamma: float
     sizes: tuple
     reverse_counts: tuple  # counts for the partition as given
     passing_order: tuple | None  # part order that met the bounds, if any
@@ -125,20 +126,19 @@ def extremal_check(graph, partition, gamma):
                 break
     return ExtremalVerdict(
         ok=passing is not None,
-        gamma=gamma,
         sizes=sizes,
         reverse_counts=given,
         passing_order=passing,
     )
 
 
-def find_extremal_partition(graph, gamma, restarts=30, seed=0):
+def find_extremal_partition(graph, gamma, seed=0):
     """Seeded local search for a gamma-extremal 3-partition.
 
     Each restart shuffles the vertices into three near-equal parts, then
     runs steepest-descent single-vertex moves minimizing the reverse-edge
     total subject to the size window, and finally checks the result.
-    Returns the first passing partition, or None after all restarts.
+    Returns the first passing partition, or None after RESTARTS restarts.
     """
     n = graph.n
     if n < 3:
@@ -149,7 +149,7 @@ def find_extremal_partition(graph, gamma, restarts=30, seed=0):
     def reverse_total(label_masks):
         return sum(_reverse_counts(graph, label_masks))
 
-    for restart in range(restarts):
+    for restart in range(RESTARTS):
         rng = random.Random(f"extremal:{seed}:{restart}")
         vertices = list(range(n))
         rng.shuffle(vertices)

@@ -239,12 +239,15 @@ def cmd_lattice(args):
 # analyze
 
 def cmd_analyze(args):
+    if args.stats != "extremal" and (args.seed is not None or args.gamma is not None):
+        raise ValueError("--seed and --gamma are read only with --stats extremal")
     host = read_graph(args.host)
     partition = read_partition(args.parts) if args.parts else None
     if args.stats == "extremal":
         gamma = args.gamma if args.gamma is not None else 0.05
+        seed = args.seed if args.seed is not None else "0"
         if partition is None:
-            partition = analysis.find_extremal_partition(host, gamma, seed=args.seed)
+            partition = analysis.find_extremal_partition(host, gamma, seed=seed)
         if partition is None:
             doc = {"gamma": gamma, "extremal": False, "note": "no partition found by local search"}
             _emit(args, doc, lambda: print(f"extremal at gamma={gamma}: False (search found no partition)"))
@@ -459,11 +462,11 @@ def build_parser():
     p.add_argument("--threshold", type=int, default=1, help="robustness count threshold")
     p.set_defaults(func=cmd_lattice)
 
-    p = sub.add_parser(
-        "analyze", parents=[common, seeded], help="vertex statistics or extremal structure"
-    )
+    p = sub.add_parser("analyze", parents=[common], help="vertex statistics or extremal structure")
     p.add_argument("--host", required=True)
     p.add_argument("--parts", help="candidate partition for the extremal check")
+    # read only by --stats extremal; default None so that other stats can reject them
+    p.add_argument("--seed", default=None, help="seed for the extremal partition search")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--stats", choices=["vertex", "extremal"], default="vertex")
     p.set_defaults(func=cmd_analyze)

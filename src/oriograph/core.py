@@ -15,7 +15,6 @@ used by the command line tools.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,12 +22,6 @@ from .errors import ParseError
 
 # Constructions that can blow up in size refuse to go past this many vertices.
 MAX_VERTICES = 1024
-
-
-class Orientation(enum.Enum):
-    NONE = 0
-    FORWARD = 1
-    BACKWARD = 2
 
 
 def bits(mask):
@@ -92,18 +85,6 @@ class OrientedGraph:
         g.in_rows = tuple(inr)
         g.edge_count = m
         return g
-
-    def orientation(self, u, v):
-        """Orientation of the pair {u, v}: FORWARD if u->v, BACKWARD if v->u."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            raise ValueError(f"pair ({u}, {v}) is not a pair of distinct vertices")
-        if self.out_rows[u] >> v & 1:
-            return Orientation.FORWARD
-        if self.out_rows[v] >> u & 1:
-            return Orientation.BACKWARD
-        return Orientation.NONE
 
     def has_edge(self, u, v):
         return self.out_rows[u] >> v & 1 == 1
@@ -229,10 +210,6 @@ class Partition:
     def d(self):
         return len(self.parts)
 
-    @property
-    def ground_set(self):
-        return frozenset(self._label)
-
     def part_of(self, v):
         try:
             return self._label[v]
@@ -271,12 +248,6 @@ class Embedding:
     pattern: OrientedGraph
     host: OrientedGraph
     mapping: tuple
-
-    def image_mask(self):
-        mask = 0
-        for v in self.mapping:
-            mask |= 1 << v
-        return mask
 
     def verify(self):
         phi = self.mapping

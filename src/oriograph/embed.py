@@ -111,6 +111,19 @@ def count_embeddings(pattern, host, budget=None):
     return sum(1 for _ in _mappings(pattern, host, budget))
 
 
+def _copy_masks(pattern, host, budget=None):
+    """Yield the vertex mask of every copy of the pattern once, in the
+    order in which the first embedding onto it is found."""
+    seen = set()
+    for mapping in _mappings(pattern, host, budget):
+        mask = 0
+        for w in mapping:
+            mask |= 1 << w
+        if mask not in seen:
+            seen.add(mask)
+            yield mask
+
+
 def enumerate_index_vectors(pattern, host, partition, budget=None):
     """The exact set of index vectors of embedding images.
 
@@ -118,16 +131,9 @@ def enumerate_index_vectors(pattern, host, partition, budget=None):
     """
     if not partition.covers(host):
         raise ValueError("partition does not cover the host vertex set")
-    seen_images = set()
-    vectors = set()
-    for mapping in _mappings(pattern, host, budget):
-        mask = 0
-        for w in mapping:
-            mask |= 1 << w
-        if mask not in seen_images:
-            seen_images.add(mask)
-            vectors.add(partition.index_vector_of_mask(mask))
-    return frozenset(vectors)
+    return frozenset(
+        partition.index_vector_of_mask(mask) for mask in _copy_masks(pattern, host, budget)
+    )
 
 
 def turan_witnesses(pattern, max_level, max_power, budget=None):

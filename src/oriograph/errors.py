@@ -23,4 +23,4 @@ class BudgetExceededError(Exception):
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration grew past a configured hard cap (edge cap, state cap)."""
+    """An enumeration grew past a hard cap (tiling.EDGE_CAP, lattice.STATE_CAP)."""

@@ -23,12 +23,11 @@ triangle is all-reverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .errors import BudgetExceededError, ResourceLimitError
-from .tiling import copy_hypergraph, hypergraph_perfect_matching
+from .errors import ResourceLimitError
+from .tiling import copy_hypergraph
 
-DEFAULT_STATE_CAP = 1_000_000
+STATE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,6 @@ class ResidueLattice:
 
     modulus: int
     dimension: int
-    generators: tuple
     members: frozenset
 
     def contains(self, vector):
@@ -54,15 +52,15 @@ class ResidueLattice:
         return len(self.members)
 
 
-def residue_lattice(generators, modulus, dimension, state_cap=DEFAULT_STATE_CAP):
+def residue_lattice(generators, modulus, dimension):
     """Breadth-first closure of {0} under adding generators, modulo m."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if dimension < 1:
         raise ValueError("dimension must be positive")
-    if modulus**dimension > state_cap:
+    if modulus**dimension > STATE_CAP:
         raise ResourceLimitError(
-            f"state space {modulus}^{dimension} exceeds the cap of {state_cap}"
+            f"state space {modulus}^{dimension} exceeds the cap of {STATE_CAP}"
         )
     gens = []
     for g in generators:
@@ -79,19 +77,13 @@ def residue_lattice(generators, modulus, dimension, state_cap=DEFAULT_STATE_CAP)
             if w not in members:
                 members.add(w)
                 frontier.append(w)
-    return ResidueLattice(
-        modulus=modulus,
-        dimension=dimension,
-        generators=tuple(dict.fromkeys(gens)),
-        members=frozenset(members),
-    )
+    return ResidueLattice(modulus=modulus, dimension=dimension, members=frozenset(members))
 
 
 @dataclass(frozen=True)
 class EdgeVectorReport:
     """Index vectors of a copy hypergraph's edges, with multiplicities."""
 
-    uniformity: int
     dimension: int
     counts: tuple  # ((vector, count), ...) sorted by vector
     threshold: int
@@ -114,7 +106,6 @@ def edge_vectors(hyper, partition, threshold=1):
         vec = partition.index_vector_of_mask(e)
         tally[vec] = tally.get(vec, 0) + 1
     return EdgeVectorReport(
-        uniformity=hyper.k,
         dimension=partition.d,
         counts=tuple(sorted(tally.items())),
         threshold=threshold,
@@ -149,14 +140,14 @@ class LatticeVerdict:
     lattice: ResidueLattice
 
 
-def tiling_lattice_precheck(hyper, partition, modulus=None, state_cap=DEFAULT_STATE_CAP):
+def tiling_lattice_precheck(hyper, partition):
     """Decide whether copy index vectors can sum to the host's index vector
-    modulo m (default m = pattern order).  refutes=True is a proof that no
-    perfect tiling exists; refutes=False says nothing either way.
+    modulo m, the pattern order.  refutes=True is a proof that no perfect
+    tiling exists; refutes=False says nothing either way.
     """
-    m = hyper.k if modulus is None else modulus
+    m = hyper.k
     report = edge_vectors(hyper, partition)
-    lat = residue_lattice(report.vectors, m, partition.d, state_cap)
+    lat = residue_lattice(report.vectors, m, partition.d)
     target = tuple(len(p) % m for p in partition.parts)
     return LatticeVerdict(
         refutes=not lat.contains(target), modulus=m, target=target, lattice=lat
@@ -198,59 +189,37 @@ def is_in_family_g(graph, partition):
     return (True, rev)
 
 
-def linking_sets(graph, pattern, x, y, ell=1, budget=None):
-    """Count the (k*ell - 1)-sets S avoiding x, y such that both S + {x} and
-    S + {y} have perfect matchings in the copy hypergraph of the pattern.
-
-    For ell = 1 a perfect matching of a k-set is a single hyperedge, so the
-    count reduces to hyperedge lookups; larger ell runs the cover solver on
-    every candidate set.
+def linking_sets(graph, pattern, x, y, budget=None):
+    """Count the (k - 1)-sets S avoiding x, y such that both S + {x} and
+    S + {y} are vertex sets of copies of the k-vertex pattern, i.e.
+    hyperedges of its copy hypergraph.
     """
     if x == y:
         raise ValueError("linking sets need two distinct vertices")
     graph._check_vertex(x)
     graph._check_vertex(y)
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
     hyper = copy_hypergraph(pattern, graph, budget=budget)
-    return _linking_count(hyper, x, y, ell, budget)
+    return _linking_count(hyper, x, y)
 
 
-def _linking_count(hyper, x, y, ell, budget=None):
-    if ell == 1:
-        edge_set = set(hyper.edges)
-        xbit, ybit = 1 << x, 1 << y
-        return sum(
-            1
-            for e in hyper.edges
-            if e & xbit and not e & ybit and (e ^ xbit | ybit) in edge_set
-        )
-    size = hyper.k * ell - 1
-    others = [v for v in range(hyper.n) if v not in (x, y)]
-    count = 0
-    for s in combinations(others, size):
-        with_x = hypergraph_perfect_matching(hyper, s + (x,), budget)
-        if with_x is None:
-            continue
-        with_y = hypergraph_perfect_matching(hyper, s + (y,), budget)
-        if with_y is not None:
-            count += 1
-    return count
+def _linking_count(hyper, x, y):
+    edge_set = set(hyper.edges)
+    xbit, ybit = 1 << x, 1 << y
+    return sum(
+        1
+        for e in hyper.edges
+        if e & xbit and not e & ybit and (e ^ xbit | ybit) in edge_set
+    )
 
 
 @dataclass(frozen=True)
 class ReachabilityReport:
     n: int
-    ell: int
-    min_count: float
     counts: tuple  # counts[x][y] = number of linking sets, diagonal 0
     components: tuple
 
-    def reachable(self, x, y):
-        return x != y and self.counts[x][y] >= self.min_count
 
-
-def reachability_report(graph, pattern, ell=1, min_count=1, budget=None):
+def reachability_report(graph, pattern, budget=None):
     """Linking-set counts for every vertex pair plus the components of the
     resulting reachability relation (a sketch of the closed partition)."""
     n = graph.n
@@ -258,7 +227,7 @@ def reachability_report(graph, pattern, ell=1, min_count=1, budget=None):
     counts = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(x + 1, n):
-            c = _linking_count(hyper, x, y, ell, budget)
+            c = _linking_count(hyper, x, y)
             counts[x][y] = counts[y][x] = c
     parent = list(range(n))
 
@@ -270,16 +239,12 @@ def reachability_report(graph, pattern, ell=1, min_count=1, budget=None):
 
     for x in range(n):
         for y in range(x + 1, n):
-            if counts[x][y] >= min_count:
+            if counts[x][y]:
                 parent[find(x)] = find(y)
     groups = {}
     for v in range(n):
         groups.setdefault(find(v), []).append(v)
     components = tuple(tuple(g) for g in sorted(groups.values()))
     return ReachabilityReport(
-        n=n,
-        ell=ell,
-        min_count=min_count,
-        counts=tuple(tuple(row) for row in counts),
-        components=components,
+        n=n, counts=tuple(tuple(row) for row in counts), components=components
     )

@@ -129,7 +129,12 @@ def _canonical_perm_and_form(graph):
             perm.pop()
             chunks.pop()
 
-    extend([], 0, [], True)
+    try:
+        extend([], 0, [], True)
+    finally:
+        # the recursive closure is a reference cycle that would leave the
+        # best-so-far lists to the cyclic garbage collector
+        del extend
     return tuple(best_perm), (n, _chunks_to_int(n, best_chunks))
 
 
@@ -197,7 +202,11 @@ def enumerate_regular_tournaments(n):
         undecided[i] += 1
         undecided[j] += 1
 
-    place(0)
+    try:
+        place(0)
+    finally:
+        # the recursive closure is a reference cycle, as in canonical forms
+        del place
     reps = [canonical_graph(g) for bucket in classes.values() for g in bucket]
     reps.sort(key=canonical_form)
     return reps
@@ -363,11 +372,10 @@ def turanability_probe(pattern, sizes, mode="exhaustive", samples=100, seed=0, b
     }
 
 
-def tileability_probe(pattern, sizes, samples=20, seed=0, extra_hosts=(), budget=None):
+def tileability_probe(pattern, sizes, samples=20, seed=0, budget=None):
     """Evidence report: fraction of sampled semi-regular tournaments with a
     perfect tiling by the pattern.  Sizes not divisible by the pattern
-    order are reported as skipped.  extra_hosts entries are (label, graph,
-    partition-or-None) triples whose tiling verdicts join the report."""
+    order are reported as skipped."""
     per_n = []
     for n in sizes:
         if n % pattern.n:
@@ -387,19 +395,9 @@ def tileability_probe(pattern, sizes, samples=20, seed=0, extra_hosts=(), budget
             else:
                 outcomes.append({"tag": f"sample-{i}", "mode": result.mode})
         per_n.append({"n": n, "samples": samples, "tiled": tiled, "outcomes": outcomes})
-    injected = []
-    for label, host, partition in extra_hosts:
-        result = perfect_tiling(pattern, host, partition=partition, budget=budget)
-        entry = {"label": label, "mode": result.mode}
-        if result.note:
-            entry["note"] = result.note
-        injected.append(entry)
-    report = {
+    return {
         "pattern": serialize(pattern),
         "seed": seed,
         "note": "finite evidence only, no claim beyond the sizes listed",
         "per_n": per_n,
     }
-    if injected:
-        report["injected"] = injected
-    return report

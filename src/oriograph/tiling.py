@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .core import bits
 from .errors import BudgetExceededError, ResourceLimitError
-from .embed import _mappings, find_embedding
+from .embed import _copy_masks, find_embedding
 
 FOUND = "found"
 REFUTED_EXHAUSTIVE = "refuted-exhaustive"
@@ -32,7 +32,7 @@ REFUTED_LATTICE = "refuted-lattice"
 REFUTED_DIVISIBILITY = "refuted-divisibility"
 INCONCLUSIVE = "inconclusive"
 
-DEFAULT_EDGE_CAP = 10_000_000
+EDGE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,6 @@ class CopyHypergraph:
     n: int
     k: int
     edges: tuple
-
-    def min_vertex_degree(self):
-        if self.n == 0:
-            return 0
-        counts = [0] * self.n
-        for e in self.edges:
-            for v in bits(e):
-                counts[v] += 1
-        return min(counts)
 
 
 @dataclass(frozen=True)
@@ -74,23 +65,17 @@ class TilingResult:
     note: str | None = None
 
 
-def copy_hypergraph(pattern, host, edge_cap=DEFAULT_EDGE_CAP, budget=None):
+def copy_hypergraph(pattern, host, budget=None):
     """Enumerate the vertex sets of all copies of the pattern in the host,
     by collecting the image set of every embedding."""
     if pattern.n == 0:
         raise ValueError("pattern must have at least one vertex")
-    seen = set()
-    for mapping in _mappings(pattern, host, budget):
-        mask = 0
-        for w in mapping:
-            mask |= 1 << w
-        if mask not in seen:
-            if len(seen) >= edge_cap:
-                raise ResourceLimitError(
-                    f"copy enumeration exceeded the edge cap of {edge_cap}"
-                )
-            seen.add(mask)
-    edges = sorted(seen, key=lambda mask: tuple(bits(mask)))
+    edges = []
+    for mask in _copy_masks(pattern, host, budget):
+        if len(edges) >= EDGE_CAP:
+            raise ResourceLimitError(f"copy enumeration exceeded the edge cap of {EDGE_CAP}")
+        edges.append(mask)
+    edges.sort(key=lambda mask: tuple(bits(mask)))
     return CopyHypergraph(n=host.n, k=pattern.n, edges=tuple(edges))
 
 
@@ -161,14 +146,7 @@ def hypergraph_perfect_matching(hyper, vertices, budget=None):
     return tuple(tuple(bits(hyper.edges[idx])) for idx in chosen)
 
 
-def perfect_tiling(
-    pattern,
-    host,
-    partition=None,
-    budget=None,
-    edge_cap=DEFAULT_EDGE_CAP,
-    lattice_only=False,
-):
+def perfect_tiling(pattern, host, partition=None, budget=None, lattice_only=False):
     """Search for a perfect tiling of the host by pattern copies.
 
     With a partition, the residue-lattice pre-check runs first and can
@@ -184,7 +162,7 @@ def perfect_tiling(
             note=f"pattern order {pattern.n} does not divide host order {host.n}",
         )
     try:
-        hyper = copy_hypergraph(pattern, host, edge_cap=edge_cap, budget=budget)
+        hyper = copy_hypergraph(pattern, host, budget=budget)
     except BudgetExceededError:
         return TilingResult(INCONCLUSIVE, note="budget exhausted during copy enumeration")
     if partition is not None:
@@ -208,19 +186,6 @@ def perfect_tiling(
     if not verify_tiling(pattern, host, tiling):
         raise AssertionError("solver produced a tiling that fails re-verification")
     return TilingResult(FOUND, tiling=tiling)
-
-
-def greedy_tiling(pattern, host, edge_cap=DEFAULT_EDGE_CAP):
-    """Maximal-by-inclusion tiling: scan copies in lexicographic order and
-    take each one disjoint from those already taken."""
-    hyper = copy_hypergraph(pattern, host, edge_cap=edge_cap)
-    used = 0
-    copies = []
-    for e in hyper.edges:
-        if e & used == 0:
-            used |= e
-            copies.append(tuple(bits(e)))
-    return Tiling(copies=tuple(copies))
 
 
 def verify_tiling(pattern, host, tiling):

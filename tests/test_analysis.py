@@ -108,4 +108,4 @@ def test_find_extremal_partition_recovers_plant():
 
 def test_find_extremal_partition_gives_up_on_t7():
     t7 = rotational(7, [1, 2, 4])
-    assert find_extremal_partition(t7, gamma=0.05, restarts=5, seed=1) is None
+    assert find_extremal_partition(t7, gamma=0.05, seed=1) is None

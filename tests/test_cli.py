@@ -257,6 +257,12 @@ def test_usage_errors(tmp_path, capsys):
     assert cli.main(["generate", "s", "--seed", "1"]) == 2
     assert cli.main(["search", "enumerate-rt", "--n", "5", "--budget", "1"]) == 2
     capsys.readouterr()
+    # analyze reads --seed and --gamma only with --stats extremal
+    t7 = tmp_path / "t7.dg"
+    assert cli.main(["generate", "rotational", "7", "1,2,4", "-o", str(t7)]) == 0
+    assert cli.main(["analyze", "--host", str(t7), "--seed", "9"]) == 2
+    assert cli.main(["analyze", "--host", str(t7), "--gamma", "0.3"]) == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ import pytest
 
 from oriograph.core import (
     Embedding,
-    Orientation,
     OrientedGraph,
     Partition,
     bits,
@@ -37,10 +36,8 @@ def test_construction_and_degrees():
     assert g.out_neighbors(1) == [2]
     assert g.in_neighbors(1) == [0]
     assert g.has_edge(0, 1) and not g.has_edge(1, 0)
-    assert g.orientation(0, 1) is Orientation.FORWARD
-    assert g.orientation(1, 0) is Orientation.BACKWARD
     h = OrientedGraph(3, [(0, 1)])
-    assert h.orientation(1, 2) is Orientation.NONE
+    assert not h.has_edge(1, 2) and not h.has_edge(2, 1)
 
 
 def test_construction_rejects_bad_edges():
@@ -95,7 +92,6 @@ def test_partition_basics():
     assert p.part_of(2) == 1
     assert p.index_vector([0, 2, 3, 4]) == (1, 1, 2)
     assert p.index_vector_of_mask(0b11000) == (0, 0, 2)
-    assert p.ground_set == frozenset(range(5))
     assert p.covers(OrientedGraph(5))
     assert not p.covers(OrientedGraph(6))
     with pytest.raises(ValueError):
@@ -113,7 +109,6 @@ def test_embedding_verify():
     assert not Embedding(pattern, host, (0, 2)).verify()
     assert not Embedding(pattern, host, (1, 1)).verify()
     emb = Embedding(pattern, host, (2, 0))
-    assert emb.image_mask() == 0b101
     assert emb.index_vector(Partition([[0], [1], [2]])) == (1, 0, 1)
 
 

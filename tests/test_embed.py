@@ -16,6 +16,7 @@ from oriograph.embed import (
 from oriograph.errors import BudgetExceededError
 from oriograph.generators import cycle_power, d_abc, f_r, graph_s, rotational, t_sk
 from oriograph.oracles import embeddings, random_oriented
+from oriograph.search import canonical_form, enumerate_regular_tournaments
 
 
 def test_known_containments():
@@ -102,12 +103,19 @@ def test_turan_witnesses():
 
 
 def test_search_leaves_no_cyclic_garbage():
-    s, host = graph_s(), rotational(7, [1, 2, 4])
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(200):
-            assert find_embedding(s, host) is not None
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    # each recursive search deletes its closure when it returns
+    s, t7 = graph_s(), rotational(7, [1, 2, 4])
+    calls = {
+        "find_embedding": lambda: find_embedding(s, t7),
+        "canonical_form": lambda: canonical_form(t7),
+        "enumerate_regular_tournaments": lambda: enumerate_regular_tournaments(5),
+    }
+    for name, call in calls.items():
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(200):
+                assert call(), name
+            assert gc.collect() == 0, name
+        finally:
+            gc.enable()

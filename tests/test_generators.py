@@ -2,7 +2,7 @@
 
 import pytest
 
-from oriograph.core import Orientation, isomorphic_brute
+from oriograph.core import isomorphic_brute
 from oriograph.generators import (
     blow_up,
     c3_barrier,
@@ -51,8 +51,8 @@ def test_rotational():
 def test_graph_s():
     s = graph_s()
     assert s.n == 5 and s.edge_count == 8
-    assert s.orientation(0, 4) is Orientation.NONE
-    assert s.orientation(3, 4) is Orientation.NONE
+    for u, v in ((0, 4), (3, 4)):
+        assert not s.has_edge(u, v) and not s.has_edge(v, u)
     for u, v in ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 0), (4, 1)):
         assert s.has_edge(u, v)
 
@@ -91,7 +91,7 @@ def test_blow_up():
     assert g.n == 6 and parts.index_vector(range(6)) == (2, 2, 2)
     assert g.min_semi_degree() == 2
     # no edges inside a class, base orientation across classes
-    assert g.orientation(0, 1) is Orientation.NONE
+    assert not g.has_edge(0, 1) and not g.has_edge(1, 0)
     assert g.has_edge(0, 2) and g.has_edge(4, 0)
     with pytest.raises(ValueError):
         blow_up(base, 0)

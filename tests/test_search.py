@@ -153,10 +153,3 @@ def test_tileability_probe():
     assert by_n[8]["tiled"] == 4
     assert all(o["mode"] == "found" for o in by_n[8]["outcomes"])
     assert "skipped" in by_n[10]
-    w_label = "barrier"
-    from oriograph.generators import t_sk
-
-    w = t_sk(2, 0)
-    d2, _ = d_abc(2, 2, 2)
-    report = tileability_probe(d2, sizes=(), extra_hosts=[(w_label, w.graph, w.partition)])
-    assert report["injected"][0]["mode"] == "refuted-lattice"

@@ -25,7 +25,6 @@ from oriograph.tiling import (
     REFUTED_LATTICE,
     Tiling,
     copy_hypergraph,
-    greedy_tiling,
     hypergraph_perfect_matching,
     perfect_tiling,
     verify_tiling,
@@ -38,7 +37,6 @@ def test_copy_hypergraph_counts():
     host, _ = c3_barrier(2)
     hyper = copy_hypergraph(triangle, host)
     assert len(hyper.edges) == 7
-    assert hyper.min_vertex_degree() >= 1
     d, _ = d_abc(1, 1, 2)
     c52 = rotational(5, [1, 2])
     hyper = copy_hypergraph(d, c52)
@@ -108,16 +106,6 @@ def test_verify_tiling_accepts_partial_rejects_garbage():
     partial = Tiling(copies=((0, 2, 4),))
     assert verify_tiling(triangle, host, partial)
     assert not partial.is_perfect(host)
-
-
-def test_greedy_tiling_is_disjoint():
-    host = random_tournament(random.Random("greedy"), 9)
-    tiling = greedy_tiling(f_r(1), host)
-    seen = set()
-    for copy in tiling.copies:
-        assert not (set(copy) & seen)
-        seen |= set(copy)
-        assert host.induced(copy).edge_count == 3
 
 
 def test_hypergraph_matching_budget():
