@@ -7,23 +7,27 @@ the toolkit pairs it with a degree-preserving sampler and uses both to
 probe containment and tiling questions over whole corpora.
 """
 
+from math import factorial
+
+from oriograph import oracles
 from oriograph.generators import d_abc, graph_s
 from oriograph.search import (
     canonical_form,
     enumerate_regular_tournaments,
-    labeled_regular_tournament_count,
     random_semi_regular,
     tileability_probe,
     turanability_probe,
 )
 
 # Up to isomorphism there are 1, 1, 3 regular tournaments on 3, 5, 7
-# vertices.  The labeled counts give an independent cross-check.
+# vertices.  The labeled counts give an independent cross-check: a class
+# with automorphism group Aut holds n!/|Aut| labeled tournaments, so the
+# classes found must add up to all of them.
 for n in (3, 5, 7):
     reps = enumerate_regular_tournaments(n)
-    labeled, classes = labeled_regular_tournament_count(n)
+    labeled = oracles.labeled_regular_tournaments(n)
     print(f"n={n}: {len(reps)} classes, {labeled} labeled tournaments")
-    assert len(reps) == classes
+    assert sum(factorial(n) // oracles.automorphisms(g) for g in reps) == labeled
 
 # Canonical forms separate the three classes on 7 vertices.
 forms = {canonical_form(g) for g in enumerate_regular_tournaments(7)}

@@ -62,7 +62,6 @@ from .search import (
     canonical_form,
     canonical_graph,
     enumerate_regular_tournaments,
-    labeled_regular_tournament_count,
     random_semi_regular,
     tileability_probe,
     turanability_probe,

@@ -19,6 +19,7 @@ so the checker tries all part orders and passes if any works.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,14 +106,19 @@ def _reverse_counts(graph, masks):
     return tuple(counts)
 
 
+def _check_gamma(gamma):
+    # nan compares false with everything, so test for the good case
+    if not (gamma >= 0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
+
+
 def extremal_check(graph, partition, gamma):
     """Is the partition gamma-extremal under some ordering of its parts?"""
+    _check_gamma(gamma)
     if partition.d != 3:
         raise ValueError("extremal structure is defined for 3 parts")
     if not partition.covers(graph):
         raise ValueError("partition does not cover the graph")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
     n = graph.n
     sizes = tuple(len(p) for p in partition.parts)
     lo, hi = (1 / 3 - gamma) * n, (1 / 3 + gamma) * n
@@ -140,6 +146,7 @@ def find_extremal_partition(graph, gamma, seed=0):
     total subject to the size window, and finally checks the result.
     Returns the first passing partition, or None after RESTARTS restarts.
     """
+    _check_gamma(gamma)
     n = graph.n
     if n < 3:
         return None

@@ -483,14 +483,14 @@ def build_parser():
     q.add_argument("--pattern", required=True)
     q.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
     q.add_argument("--n", required=True, help="comma-separated host orders")
-    q.add_argument("--samples", type=int, default=20)
+    q.add_argument("--samples", type=_positive_int, default=20)
     q.set_defaults(func=cmd_search)
     q = ssub.add_parser(
         "tile-probe", parents=[common, budgeted, seeded], help="perfect-tiling evidence over samples"
     )
     q.add_argument("--pattern", required=True)
     q.add_argument("--n", required=True, help="comma-separated host orders")
-    q.add_argument("--samples", type=int, default=20)
+    q.add_argument("--samples", type=_positive_int, default=20)
     q.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify-paper", parents=[common], help="replay the built-in claim checklist")

@@ -3,7 +3,8 @@
 Each oracle enumerates vertex tuples with itertools.permutations and
 combinations and reads graphs only through has_edge and edges(), so it
 shares no code with the kernels in embed, tiling or search and cannot
-vouch for them.  They are exponential and meant for instances of at most
+vouch for them; the count of labeled regular tournaments reads no graph
+at all.  They are exponential and meant for instances of at most
 a dozen vertices.
 
 The random-graph helpers draw every pair in a fixed order from the
@@ -71,6 +72,58 @@ def residue_span(generators, modulus, dimension):
         tuple(sum(column) % modulus for column in zip(*choice))
         for choice in product([(0,) * dimension], *multiples)
     }
+
+
+def automorphisms(graph):
+    """The number of vertex permutations that send every edge to an edge."""
+    edges = graph.edges()
+    return sum(_preserves(graph, edges, p) for p in permutations(range(graph.n)))
+
+
+def _staircase(graph, perm):
+    has = graph.has_edge
+    value = 0
+    for k in range(1, graph.n):
+        for i in range(k):
+            value = value << 2 | has(perm[i], perm[k]) << 1 | has(perm[k], perm[i])
+    return value
+
+
+def canonical_form(graph):
+    """(n, bits): the least staircase serialization over all relabellings
+    p, vertex k contributing the bit pairs (p_i -> p_k, p_k -> p_i) for
+    i < k in turn."""
+    return (graph.n, min(_staircase(graph, p) for p in permutations(range(graph.n))))
+
+
+def labeled_regular_tournaments(n):
+    """The number of regular tournaments on the vertex set 0..n-1, by
+    orienting the pairs one at a time while every vertex can still reach
+    out-degree (n-1)/2."""
+    if n < 1 or n % 2 == 0:
+        raise ValueError("regular tournaments need odd n")
+    half = (n - 1) // 2
+    pairs = list(combinations(range(n), 2))
+    out = [0] * n
+    open_pairs = [n - 1] * n
+
+    def count(idx):
+        if idx == len(pairs):
+            return 1
+        total = 0
+        i, j = pairs[idx]
+        open_pairs[i] -= 1
+        open_pairs[j] -= 1
+        for winner, loser in ((i, j), (j, i)):
+            if out[winner] < half and out[loser] + open_pairs[loser] >= half:
+                out[winner] += 1
+                total += count(idx + 1)
+                out[winner] -= 1
+        open_pairs[i] += 1
+        open_pairs[j] += 1
+        return total
+
+    return count(0)
 
 
 def random_oriented(rng, n, density=2 / 3):

@@ -5,13 +5,14 @@ canonical form of a graph is the lexicographically least serialization
 of its adjacency over all vertex relabellings.  Serialization order is
 the staircase one, vertex k contributing the bit pairs (p_i -> p_k,
 p_k -> p_i) for i < k, which lets the minimization run as a
-branch-and-bound over partial relabellings; a plain full-permutation
-twin is kept alongside as a cross-check oracle.
+branch-and-bound over partial relabellings.
 
 Regular tournaments are enumerated by orienting the upper-triangle pairs
-in lexicographic order under running out-degree bounds, deduplicating
-leaves up to isomorphism, and returning canonical representatives in
-sorted order.
+in lexicographic order under running out-degree bounds, with vertex 0
+beating exactly 1..(n-1)/2 (every regular tournament can be relabelled
+that way).  Leaves are deduplicated by canonical form, the only
+isomorphism test, and the canonical representatives returned in sorted
+order of their forms.
 
 Random semi-regular tournaments come from the 3-cycle reversal walk of
 Brualdi and Li (analysed by Kannan, Tetali and Vempala): starting from the
@@ -32,27 +33,12 @@ use it are labelled as sampled evidence.
 from __future__ import annotations
 
 import random
-from itertools import permutations
 
 from .core import OrientedGraph, serialize
 from .embed import find_embedding
 from .errors import BudgetExceededError
 from .generators import semi_regular_tournament
 from .tiling import FOUND, perfect_tiling
-
-
-def _staircase_chunks(rows, perm):
-    """Adjacency chunks of the relabelled graph, one chunk per vertex >= 1."""
-    chunks = []
-    for k in range(1, len(perm)):
-        pk = perm[k]
-        chunk = 0
-        rk = rows[pk]
-        for i in range(k):
-            pi = perm[i]
-            chunk = chunk << 2 | (rows[pi] >> pk & 1) << 1 | rk >> pi & 1
-        chunks.append(chunk)
-    return chunks
 
 
 def _chunks_to_int(n, chunks):
@@ -138,39 +124,14 @@ def _canonical_perm_and_form(graph):
     return tuple(best_perm), (n, _chunks_to_int(n, best_chunks))
 
 
-def canonical_form_bruteforce(graph):
-    """Full-permutation twin of canonical_form, used as a cross-check."""
-    n = graph.n
-    if n == 0:
-        return (0, 0)
-    rows = graph.out_rows
-    best = None
-    for perm in permutations(range(n)):
-        chunks = _staircase_chunks(rows, perm)
-        if best is None or chunks < best:
-            best = chunks
-    return (n, _chunks_to_int(n, best))
-
-
-def _iso_invariant(graph):
-    tri = sorted(
-        sum(
-            (graph.out_rows[u] & graph.in_rows[v]).bit_count()
-            for u in graph.out_neighbors(v)
-        )
-        for v in range(graph.n)
-    )
-    return (graph.edge_count, tuple(graph.score_multiset()), tuple(tri))
-
-
-def _isomorphic_tournaments(a, b):
-    # equal-order tournaments: any embedding is onto and hence an isomorphism
-    return find_embedding(a, b) is not None
-
-
 def enumerate_regular_tournaments(n):
     """All regular tournaments on n vertices up to isomorphism, as canonical
-    representatives in deterministic order.  n must be odd and at most 9."""
+    representatives in sorted order of their canonical forms.  n must be
+    odd and at most 9.
+
+    Vertex 0 is made to beat exactly 1..(n-1)/2.  This loses no class:
+    relabel any vertex of a regular tournament as 0 and its (n-1)/2
+    out-neighbours as 1..(n-1)/2."""
     if n < 1 or n % 2 == 0:
         raise ValueError("regular tournaments need odd n")
     if n > 9:
@@ -180,20 +141,19 @@ def enumerate_regular_tournaments(n):
     out = [0] * n
     undecided = [n - 1] * n  # pairs not yet oriented per vertex
     orient = [None] * len(pairs)
-    classes = {}  # cheap invariant -> list of representatives
+    classes = {}  # canonical form -> first leaf with that form
 
     def place(idx):
         if idx == len(pairs):
             g = OrientedGraph(n, orient)
-            key = _iso_invariant(g)
-            bucket = classes.setdefault(key, [])
-            if not any(_isomorphic_tournaments(g, h) for h in bucket):
-                bucket.append(g)
+            classes.setdefault(canonical_form(g), g)
             return
         i, j = pairs[idx]
         undecided[i] -= 1
         undecided[j] -= 1
         for winner, loser in ((i, j), (j, i)):
+            if i == 0 and (winner == 0) != (j <= target):
+                continue
             if out[winner] < target and out[loser] + undecided[loser] >= target:
                 orient[idx] = (winner, loser)
                 out[winner] += 1
@@ -207,51 +167,7 @@ def enumerate_regular_tournaments(n):
     finally:
         # the recursive closure is a reference cycle, as in canonical forms
         del place
-    reps = [canonical_graph(g) for bucket in classes.values() for g in bucket]
-    reps.sort(key=canonical_form)
-    return reps
-
-
-def labeled_regular_tournament_count(n):
-    """Independent oracle: count labeled regular tournaments and their
-    isomorphism classes by bucketing every labeled tournament (generated by
-    a straightforward recursion over pairs) on its canonical form."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError("regular tournaments need odd n")
-    target = (n - 1) // 2
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    total = len(pairs)
-    # tail[idx][v] = number of pairs at positions >= idx that contain v
-    tail = [[0] * n for _ in range(total + 1)]
-    for idx in range(total - 1, -1, -1):
-        i, j = pairs[idx]
-        for v in range(n):
-            tail[idx][v] = tail[idx + 1][v] + (1 if v in (i, j) else 0)
-    forms = set()
-    labeled = 0
-    out = [0] * n
-    chosen = []
-
-    def rec(idx):
-        nonlocal labeled
-        if idx == total:
-            labeled += 1
-            forms.add(canonical_form(OrientedGraph(n, chosen)))
-            return
-        i, j = pairs[idx]
-        for winner, loser in ((i, j), (j, i)):
-            if out[winner] + 1 > target:
-                continue
-            if out[loser] + tail[idx + 1][loser] < target:
-                continue
-            out[winner] += 1
-            chosen.append((winner, loser))
-            rec(idx + 1)
-            chosen.pop()
-            out[winner] -= 1
-
-    rec(0)
-    return labeled, len(forms)
+    return [canonical_graph(classes[form]) for form in sorted(classes)]
 
 
 def random_semi_regular(n, seed=0, moves_per_pair=50):

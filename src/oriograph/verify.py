@@ -20,9 +20,11 @@ across runs.
 from __future__ import annotations
 
 import random
+from itertools import combinations
+from math import factorial
 
 from . import analysis, embed, generators, lattice, oracles, search, tiling
-from .core import OrientedGraph
+from .core import OrientedGraph, isomorphic_brute
 from .errors import BudgetExceededError
 
 PASS = "PASS"
@@ -324,9 +326,19 @@ def check_oracle_agreement(p, seed="oracle-agreement"):
     enum_ok = True
     for n in p["enumeration_sizes"]:
         reps = search.enumerate_regular_tournaments(n)
-        labeled, classes = search.labeled_regular_tournament_count(n)
-        counts[f"n={n}"] = {"enumerated": len(reps), "labeled": labeled, "oracle": classes}
-        enum_ok = enum_ok and len(reps) == classes and (labeled, classes) == REGULAR_COUNTS[n]
+        labeled = oracles.labeled_regular_tournaments(n)
+        # orbit-stabiliser: class i holds n!/|Aut(rep_i)| labeled tournaments,
+        # so pairwise non-isomorphic regular reps summing to the labeled
+        # count meet every class
+        orbit_sum = sum(factorial(n) // oracles.automorphisms(g) for g in reps)
+        counts[f"n={n}"] = {"enumerated": len(reps), "labeled": labeled, "orbit_sum": orbit_sum}
+        enum_ok = (
+            enum_ok
+            and (labeled, len(reps)) == REGULAR_COUNTS[n]
+            and orbit_sum == labeled
+            and all(g.classify().is_regular for g in reps)
+            and not any(isomorphic_brute(a, b) for a, b in combinations(reps, 2))
+        )
     detail = {
         "embedding_mismatches": mismatches,
         "tiling_mismatches": tiling_mismatches,

@@ -263,6 +263,17 @@ def test_usage_errors(tmp_path, capsys):
     assert cli.main(["analyze", "--host", str(t7), "--seed", "9"]) == 2
     assert cli.main(["analyze", "--host", str(t7), "--gamma", "0.3"]) == 2
     capsys.readouterr()
+    # a gamma outside [0, inf) is a usage error, not a refutation
+    for gamma in ("-0.5", "nan", "inf"):
+        assert cli.main(["analyze", "--host", str(t7), "--stats", "extremal", "--gamma", gamma]) == 2
+    capsys.readouterr()
+    s = tmp_path / "s.dg"
+    assert cli.main(["generate", "s", "-o", str(s)]) == 0
+    for samples in ("-2", "0"):
+        probe = ["search", "probe", "--pattern", str(s), "--mode", "sample", "--n", "9"]
+        assert cli.main([*probe, "--samples", samples]) == 2
+        assert cli.main(["search", "tile-probe", "--pattern", str(s), "--n", "10", "--samples", samples]) == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion."""
+"""Every demo script runs to completion and prints its committed output."""
 
 import os
 import subprocess
@@ -9,6 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "data" / "demos"
 
 
 def test_all_demos_found():
@@ -23,3 +24,10 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    golden = GOLDEN / f"{demo.stem}.out"
+    assert proc.stdout == golden.read_text(), (
+        f"demos/{demo.name} prints other than tests/data/demos/{golden.name}; "
+        "if the new output is intended, regenerate the file with "
+        f"`PYTHONPATH=src python demos/{demo.name} > tests/data/demos/{golden.name}` "
+        "and explain the change in CHANGES.md"
+    )

@@ -1,20 +1,19 @@
 """Canonical forms, tournament enumeration, the sampler, and the probes."""
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
 
 import pytest
 
 from oriograph.core import OrientedGraph, isomorphic_brute
 from oriograph.generators import d_abc, f_r, graph_s, rotational, semi_regular_tournament
+from oriograph import oracles
 from oriograph.oracles import random_oriented
 from oriograph.search import (
     canonical_form,
-    canonical_form_bruteforce,
     canonical_graph,
     enumerate_regular_tournaments,
-    labeled_regular_tournament_count,
     random_semi_regular,
     tileability_probe,
     turanability_probe,
@@ -29,7 +28,7 @@ def test_canonical_form_matches_bruteforce():
     rng = random.Random("canon")
     for trial in range(200):
         g = random_oriented(rng, rng.randrange(1, 7))
-        assert canonical_form(g) == canonical_form_bruteforce(g), trial
+        assert canonical_form(g) == oracles.canonical_form(g), trial
 
 
 def test_canonical_form_is_an_isomorphism_invariant():
@@ -69,15 +68,19 @@ def test_enumeration_counts():
 
 
 def test_labeled_enumeration_oracle():
-    assert labeled_regular_tournament_count(3) == (2, 1)
-    assert labeled_regular_tournament_count(5) == (24, 1)
-    assert labeled_regular_tournament_count(7) == (2640, 3)
+    # orbit-stabiliser: the enumerated classes hold every labeled one
+    for n, labeled in ((3, 2), (5, 24), (7, 2640)):
+        assert oracles.labeled_regular_tournaments(n) == labeled
+        reps = enumerate_regular_tournaments(n)
+        assert sum(factorial(n) // oracles.automorphisms(g) for g in reps) == labeled
+    with pytest.raises(ValueError):
+        oracles.labeled_regular_tournaments(4)
 
 
 def test_enumeration_is_deterministic():
-    a = enumerate_regular_tournaments(7)
-    b = enumerate_regular_tournaments(7)
-    assert a == b
+    # committed forms, so that drift between versions fails too
+    forms = [canonical_form(g) for g in enumerate_regular_tournaments(7)]
+    assert forms == [(7, 0x15565695A95), (7, 0x15566695A59), (7, 0x15665A65A59)]
 
 
 def test_sampler_properties():
@@ -101,10 +104,7 @@ def test_sampler_class_frequencies_at_7():
     reps = enumerate_regular_tournaments(7)
     weight = {}
     for g in reps:
-        automorphisms = sum(
-            all(g.has_edge(p[u], p[v]) for u, v in g.edges()) for p in permutations(range(7))
-        )
-        weight[canonical_form(g)] = factorial(7) // automorphisms
+        weight[canonical_form(g)] = factorial(7) // oracles.automorphisms(g)
     assert sorted(weight.values()) == [240, 720, 1680]
     samples = 700
     counts = dict.fromkeys(weight, 0)
