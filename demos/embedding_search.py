@@ -7,8 +7,10 @@ pattern in the host, how many labeled copies are there, and which parts of
 a partitioned host do the copies touch.
 """
 
-from oriograph.embed import count_embeddings, enumerate_index_vectors, find_embedding
+from oriograph.embed import count_embeddings, find_embedding
 from oriograph.generators import cycle_power, d_abc, graph_s, rotational, t_sk
+from oriograph.lattice import edge_vectors
+from oriograph.tiling import copy_hypergraph
 
 # D sits inside S in exactly one way.
 d, _ = d_abc(1, 1, 2)
@@ -33,5 +35,5 @@ print("labeled copies:", count_embeddings(c62, qr7))
 # (2,2,2) and nothing else.
 d2, _ = d_abc(2, 2, 2)
 w = t_sk(2, 1)
-vectors = enumerate_index_vectors(d2, w.graph, w.partition)
+vectors = edge_vectors(copy_hypergraph(d2, w.graph), w.partition).vectors
 print("index vectors of D_2-copies in t_sk(2,1):", sorted(vectors))

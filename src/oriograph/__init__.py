@@ -19,10 +19,8 @@ from .core import (
 )
 from .embed import (
     count_embeddings,
-    enumerate_index_vectors,
     find_embedding,
     iter_embeddings,
-    turan_witnesses,
 )
 from .errors import BudgetExceededError, ParseError, ResourceLimitError
 from .generators import (
@@ -43,9 +41,6 @@ from .lattice import (
     ResidueLattice,
     edge_vectors,
     find_2_transferrals,
-    is_in_family_g,
-    linking_sets,
-    reachability_report,
     residue_lattice,
     tiling_lattice_precheck,
 )

@@ -129,9 +129,8 @@ def cmd_embed(args):
     if args.vectors:
         if partition is None:
             raise ValueError("--vectors needs --parts")
-        vecs = sorted(
-            embed.enumerate_index_vectors(pattern, host, partition, budget=args.budget)
-        )
+        hyper = tiling.copy_hypergraph(pattern, host, budget=args.budget)
+        vecs = sorted(lattice.edge_vectors(hyper, partition).vectors)
         doc = {"index_vectors": [list(v) for v in vecs]}
         _emit(args, doc, lambda: [print(",".join(map(str, v))) for v in vecs])
         return 0 if vecs else 1
@@ -381,10 +380,10 @@ def cmd_search(args):
         print(report["note"])
 
     _emit(args, report, human)
-    untiled = any(
-        "skipped" not in e and e["tiled"] < e["samples"] for e in report["per_n"]
-    )
-    return 1 if untiled else 0
+    modes = {o["mode"] for e in report["per_n"] for o in e.get("outcomes", ())}
+    if modes - {tiling.FOUND, tiling.INCONCLUSIVE}:
+        return 1
+    return 3 if tiling.INCONCLUSIVE in modes else 0
 
 
 # verify-paper

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from .core import Embedding, bits
 from .errors import BudgetExceededError
-from .generators import cycle_power, f_r
 
 
 def variable_order(pattern):
@@ -109,53 +108,3 @@ def find_embedding(pattern, host, budget=None):
 def count_embeddings(pattern, host, budget=None):
     """Number of injective orientation-preserving maps pattern -> host."""
     return sum(1 for _ in _mappings(pattern, host, budget))
-
-
-def _copy_masks(pattern, host, budget=None):
-    """Yield the vertex mask of every copy of the pattern once, in the
-    order in which the first embedding onto it is found."""
-    seen = set()
-    for mapping in _mappings(pattern, host, budget):
-        mask = 0
-        for w in mapping:
-            mask |= 1 << w
-        if mask not in seen:
-            seen.add(mask)
-            yield mask
-
-
-def enumerate_index_vectors(pattern, host, partition, budget=None):
-    """The exact set of index vectors of embedding images.
-
-    The partition must cover all host vertices.
-    """
-    if not partition.covers(host):
-        raise ValueError("partition does not cover the host vertex set")
-    return frozenset(
-        partition.index_vector_of_mask(mask) for mask in _copy_masks(pattern, host, budget)
-    )
-
-
-def turan_witnesses(pattern, max_level, max_power, budget=None):
-    """Smallest recursive-triangle level r with pattern inside f_r(r), paired
-    with the smallest k with pattern inside cycle_power(2k+1, k); None if
-    either search fails within the bounds."""
-    if max_level < 1 or max_power < 1:
-        raise ValueError("bounds must be at least 1")
-    level = next(
-        (r for r in range(1, max_level + 1) if find_embedding(pattern, f_r(r), budget)),
-        None,
-    )
-    if level is None:
-        return None
-    power = next(
-        (
-            k
-            for k in range(1, max_power + 1)
-            if find_embedding(pattern, cycle_power(2 * k + 1, k), budget)
-        ),
-        None,
-    )
-    if power is None:
-        return None
-    return (level, power)

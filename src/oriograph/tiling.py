@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import lattice
 from .core import bits
 from .errors import BudgetExceededError, ResourceLimitError
-from .embed import _copy_masks, find_embedding
+from .embed import _mappings, find_embedding
 
 FOUND = "found"
 REFUTED_EXHAUSTIVE = "refuted-exhaustive"
@@ -70,10 +71,18 @@ def copy_hypergraph(pattern, host, budget=None):
     by collecting the image set of every embedding."""
     if pattern.n == 0:
         raise ValueError("pattern must have at least one vertex")
+    # a list in discovery order, which is nearly sorted, so the sort below is cheap
     edges = []
-    for mask in _copy_masks(pattern, host, budget):
+    seen = set()
+    for mapping in _mappings(pattern, host, budget):
+        mask = 0
+        for w in mapping:
+            mask |= 1 << w
+        if mask in seen:
+            continue
         if len(edges) >= EDGE_CAP:
             raise ResourceLimitError(f"copy enumeration exceeded the edge cap of {EDGE_CAP}")
+        seen.add(mask)
         edges.append(mask)
     edges.sort(key=lambda mask: tuple(bits(mask)))
     return CopyHypergraph(n=host.n, k=pattern.n, edges=tuple(edges))
@@ -146,13 +155,12 @@ def hypergraph_perfect_matching(hyper, vertices, budget=None):
     return tuple(tuple(bits(hyper.edges[idx])) for idx in chosen)
 
 
-def perfect_tiling(pattern, host, partition=None, budget=None, lattice_only=False):
+def perfect_tiling(pattern, host, partition=None, budget=None):
     """Search for a perfect tiling of the host by pattern copies.
 
-    With a partition, the residue-lattice pre-check runs first and can
-    refute without any cover search; lattice_only skips the cover search
-    entirely (mode is then refuted-lattice or inconclusive).  Copies in a
-    found tiling are re-verified against the host before returning.
+    With a partition of the host's vertex set, the residue-lattice
+    pre-check runs first and can refute without any cover search.  Copies
+    in a found tiling are re-verified against the host before returning.
     """
     if pattern.n == 0:
         raise ValueError("pattern must have at least one vertex")
@@ -166,16 +174,13 @@ def perfect_tiling(pattern, host, partition=None, budget=None, lattice_only=Fals
     except BudgetExceededError:
         return TilingResult(INCONCLUSIVE, note="budget exhausted during copy enumeration")
     if partition is not None:
-        from .lattice import tiling_lattice_precheck
-
-        verdict = tiling_lattice_precheck(hyper, partition)
+        # looked up at call time, so a wrapper set on the module attribute sees every call
+        verdict = lattice.tiling_lattice_precheck(hyper, partition)
         if verdict.refutes:
             return TilingResult(
                 REFUTED_LATTICE,
                 note=f"host index vector {verdict.target} unreachable modulo {verdict.modulus}",
             )
-    if lattice_only:
-        return TilingResult(INCONCLUSIVE, note="lattice pre-check only, no cover search run")
     try:
         matching = hypergraph_perfect_matching(hyper, range(host.n), budget)
     except BudgetExceededError:

@@ -182,7 +182,8 @@ def check_tsk_semi_regular(p):
 def tsk_refutations(p, lattice_only):
     """Refute a D_s-factor of t_sk(s, k) for (s, k) in (2,0), (2,1), (3,1),
     by exhaustive cover search or, with lattice_only, by the lattice
-    pre-check on the planted partition alone.  Returns (status, modes)."""
+    pre-check on the planted partition; a lattice that fails to refute
+    lets the cover search run and reads FAIL.  Returns (status, modes)."""
     wanted = tiling.REFUTED_LATTICE if lattice_only else tiling.REFUTED_EXHAUSTIVE
     modes = {}
     for s, k in ((2, 0), (2, 1), (3, 1)):
@@ -193,7 +194,6 @@ def tsk_refutations(p, lattice_only):
             w.graph,
             partition=w.partition if lattice_only else None,
             budget=p["budget"],
-            lattice_only=lattice_only,
         )
         modes[f"s={s},k={k}"] = result.mode
     return (_worst(_refutation_status(m, wanted) for m in modes.values()), modes)
@@ -215,7 +215,8 @@ def check_copy_index_vectors(p):
     try:
         w21 = generators.t_sk(2, 1)
         d2, _ = generators.d_abc(2, 2, 2)
-        vecs2 = embed.enumerate_index_vectors(d2, w21.graph, w21.partition, budget=p["budget"])
+        hyper2 = tiling.copy_hypergraph(d2, w21.graph, budget=p["budget"])
+        vecs2 = lattice.edge_vectors(hyper2, w21.partition).vectors
     except BudgetExceededError:
         return (INCONCLUSIVE, {"note": "budget exhausted during copy enumeration"})
     detail = {
@@ -227,7 +228,8 @@ def check_copy_index_vectors(p):
         try:
             w31 = generators.t_sk(3, 1)
             d3, _ = generators.d_abc(3, 3, 3)
-            vecs3 = embed.enumerate_index_vectors(d3, w31.graph, w31.partition, budget=p["budget"])
+            hyper3 = tiling.copy_hypergraph(d3, w31.graph, budget=p["budget"])
+            vecs3 = lattice.edge_vectors(hyper3, w31.partition).vectors
         except BudgetExceededError:
             return (INCONCLUSIVE, {"note": "budget exhausted during copy enumeration"})
         detail["nine_vertex_vectors"] = sorted(map(list, vecs3))

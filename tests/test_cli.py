@@ -130,6 +130,24 @@ def test_tile_lattice_refutation(paths, capsys):
     assert "unreachable" in doc["note"]
 
 
+def test_partition_must_cover_exactly_the_host(tmp_path, capsys):
+    host = tmp_path / "two_triangles.dg"
+    host.write_text("6 6\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n")
+    triangle = tmp_path / "c3.dg"
+    triangle.write_text("3 3\n0 1\n1 2\n2 0\n")
+    parts = tmp_path / "bad.parts"
+    parts.write_text("0 1 2\n3 4 5 99\n")
+    tile = ["tile", "--pattern", str(triangle), "--host", str(host)]
+    code, out = run(capsys, *tile)
+    assert (code, out.split("\n")[0]) == (0, "found")
+    # vertex 99 would inflate the target vector into a false refuted-lattice
+    assert run(capsys, *tile, "--parts", str(parts)) == (2, "")
+    lat = ["lattice", "--pattern", str(triangle), "--host", str(host), "--parts", str(parts)]
+    assert run(capsys, *lat) == (2, "")
+    embed = ["embed", "--pattern", str(triangle), "--host", str(host), "--parts", str(parts)]
+    assert run(capsys, *embed, "--vectors") == (2, "")
+
+
 def test_tile_divisibility(paths, capsys):
     code, doc = run_json(capsys, "tile", "--pattern", paths["d"], "--host", paths["t7"])
     assert code == 1
@@ -233,6 +251,21 @@ def test_search_tile_probe(paths, capsys):
     by_n = {e["n"]: e for e in doc["per_n"]}
     assert by_n[8]["tiled"] == 3
     assert "skipped" in by_n[10]
+
+
+def test_search_tile_probe_exit_codes(paths, tmp_path, capsys):
+    # samples that only ran out of budget are inconclusive, not refuted
+    argv = ["search", "tile-probe", "--pattern", paths["d"], "--n", "8", "--samples", "2"]
+    code, out = run(capsys, *argv, "--budget", "1")
+    assert (code, out.split("\n")[0]) == (3, "n=8: 0/2 samples tiled")
+    # the only semi-regular tournament on 3 vertices is the directed triangle
+    tt3 = tmp_path / "tt3.dg"
+    assert cli.main(["generate", "transitive", "3", "-o", str(tt3)]) == 0
+    capsys.readouterr()
+    argv = ["search", "tile-probe", "--pattern", str(tt3), "--n", "3", "--samples", "1"]
+    code, doc = run_json(capsys, *argv)
+    assert code == 1
+    assert doc["per_n"][0]["outcomes"][0]["mode"] == "refuted-exhaustive"
 
 
 def test_verify_paper_fast(capsys):

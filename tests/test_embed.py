@@ -5,18 +5,13 @@ import random
 
 import pytest
 
-from oriograph.embed import (
-    count_embeddings,
-    enumerate_index_vectors,
-    find_embedding,
-    iter_embeddings,
-    turan_witnesses,
-    variable_order,
-)
+from oriograph.embed import count_embeddings, find_embedding, iter_embeddings, variable_order
 from oriograph.errors import BudgetExceededError
 from oriograph.generators import cycle_power, d_abc, f_r, graph_s, rotational, t_sk
+from oriograph.lattice import edge_vectors
 from oriograph.oracles import embeddings, random_oriented
 from oriograph.search import canonical_form, enumerate_regular_tournaments
+from oriograph.tiling import copy_hypergraph
 
 
 def test_known_containments():
@@ -87,19 +82,12 @@ def test_budget_raises():
 
 
 def test_enumerate_index_vectors():
+    # copies found by the embedding search, read as index vectors
     w = t_sk(2, 1)
     d2, _ = d_abc(2, 2, 2)
-    assert enumerate_index_vectors(d2, w.graph, w.partition) == frozenset({(2, 2, 2)})
+    assert edge_vectors(copy_hypergraph(d2, w.graph), w.partition).vectors == {(2, 2, 2)}
     d, parts = d_abc(1, 1, 2)
-    assert enumerate_index_vectors(d, d, parts) == frozenset({(1, 1, 2)})
-
-
-def test_turan_witnesses():
-    assert turan_witnesses(graph_s(), 3, 3) == (2, 2)
-    d, _ = d_abc(1, 1, 2)
-    assert turan_witnesses(d, 3, 3) == (2, 2)
-    triangle = f_r(1)
-    assert turan_witnesses(triangle, 3, 3) == (1, 1)
+    assert edge_vectors(copy_hypergraph(d, d), parts).vectors == {(1, 1, 2)}
 
 
 def test_search_leaves_no_cyclic_garbage():

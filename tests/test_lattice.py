@@ -1,4 +1,6 @@
-"""Index-vector lattices, transferrals, family membership, linking sets."""
+"""Index-vector lattices, transferrals, the tiling pre-check and family G."""
+
+from itertools import permutations
 
 import pytest
 
@@ -15,9 +17,6 @@ from oriograph.generators import (
 from oriograph.lattice import (
     edge_vectors,
     find_2_transferrals,
-    is_in_family_g,
-    linking_sets,
-    reachability_report,
     residue_lattice,
     tiling_lattice_precheck,
 )
@@ -57,6 +56,20 @@ def test_edge_vectors_on_barriers():
     assert dict(report.counts) == {(0, 0, 3): 2, (0, 3, 0): 1, (1, 1, 1): 24}
     assert report.vectors <= {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)}
     assert find_2_transferrals(report) == []
+
+
+def test_edge_vectors_reject_a_partition_of_another_vertex_set():
+    # two disjoint directed triangles 0->1->2->0 and 3->4->5->3
+    host = OrientedGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    hyper = copy_hypergraph(f_r(1), host)
+    assert edge_vectors(hyper, Partition([[0, 1, 2], [3, 4, 5]])).vectors == {(3, 0), (0, 3)}
+    # a vertex outside the host would inflate the target vector of the
+    # lattice pre-check to (3, 4) and refute the tiling the host has
+    for parts in ([[0, 1, 2], [3, 4, 5, 99]], [[0, 1, 2], [3, 4]], [[0, 1, 2], [3, 4, 5, 6]]):
+        with pytest.raises(ValueError):
+            edge_vectors(hyper, Partition(parts))
+        with pytest.raises(ValueError):
+            tiling_lattice_precheck(hyper, Partition(parts))
 
 
 def test_transferrals_against_inline_brute_force():
@@ -99,36 +112,34 @@ def test_tiling_lattice_precheck():
     assert not tiling_lattice_precheck(hyper, parts).refutes
 
 
+def _against(graph, partition):
+    """Cross edges running against the cyclic part order 1 -> 2 -> 3 -> 1."""
+    part = {v: i for i, p in enumerate(partition.parts) for v in p}
+    return {(u, v) for u, v in graph.edges() if part[v] == (part[u] - 1) % 3}
+
+
+def _all_reverse_triangle(graph, against):
+    return any(
+        (a, b) in against and (b, c) in against and (c, a) in against
+        for a, b, c in permutations(range(graph.n), 3)
+    )
+
+
 def test_is_in_family_g():
-    w = t_sk(2, 1)
-    ok, reverse = is_in_family_g(w.graph, w.partition)
-    assert ok
-    assert reverse == w.reverse_edges
-    w = t_sk(2, 2)
-    ok, reverse = is_in_family_g(w.graph, w.partition)
-    assert ok and reverse == w.reverse_edges
+    # t_sk lies in family G: its reverse edges are exactly the cross edges
+    # against the part order, each reverse class is a matching, and no
+    # triangle is all-reverse
+    for s, k in ((2, 1), (2, 2)):
+        w = t_sk(s, k)
+        against = _against(w.graph, w.partition)
+        assert against == w.reverse_edges
+        part = {v: i for i, p in enumerate(w.partition.parts) for v in p}
+        for pair in ((0, 2), (2, 1), (1, 0)):
+            ends = [x for u, v in against if (part[u], part[v]) == pair for x in (u, v)]
+            assert len(ends) == len(set(ends)), (s, k, pair)
+        assert not _all_reverse_triangle(w.graph, against)
     # orient the parts so every triangle edge counters the cyclic pattern
     triangle = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
-    bad_parts = Partition([[1], [0], [2]])
-    ok, reverse = is_in_family_g(triangle, bad_parts)
-    assert not ok
-    assert len(reverse) == 3
-
-
-def test_linking_sets():
-    host, _ = d_abc(2, 2, 2)
-    d_pattern, _ = d_abc(1, 1, 2)
-    assert linking_sets(host, d_pattern, 0, 1) == 4
-    with pytest.raises(ValueError):
-        linking_sets(host, d_pattern, 0, 0)
-
-
-def test_reachability_report():
-    host, _ = d_abc(2, 2, 2)
-    d_pattern, _ = d_abc(1, 1, 2)
-    report = reachability_report(host, d_pattern)
-    assert report.n == 6
-    assert report.counts[0][1] == 4
-    assert report.counts[1][0] == 4
-    assert all(report.counts[v][v] == 0 for v in range(6))
-    assert report.components == ((0, 1, 2, 3, 4, 5),)
+    against = _against(triangle, Partition([[1], [0], [2]]))
+    assert len(against) == 3
+    assert _all_reverse_triangle(triangle, against)

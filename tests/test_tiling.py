@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from oriograph import lattice
 from oriograph.core import OrientedGraph
 from oriograph.generators import (
     blow_up,
@@ -84,6 +85,22 @@ def test_lattice_refutation():
     assert "unreachable" in result.note
     # without the partition the cover search still refutes, just slower
     assert perfect_tiling(d2, w.graph).mode == REFUTED_EXHAUSTIVE
+
+
+def test_lattice_precheck_is_looked_up_at_call_time(monkeypatch):
+    # the benchmark counts pre-check calls by wrapping this module attribute
+    calls = []
+    precheck = lattice.tiling_lattice_precheck
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return precheck(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "tiling_lattice_precheck", wrapper)
+    w = t_sk(2, 1)
+    d2, _ = d_abc(2, 2, 2)
+    assert perfect_tiling(d2, w.graph, partition=w.partition).mode == REFUTED_LATTICE
+    assert len(calls) == 1
 
 
 def test_budget_gives_inconclusive():
