@@ -126,6 +126,8 @@ def cmd_embed(args):
     pattern = read_graph(args.pattern)
     host = read_graph(args.host)
     partition = read_partition(args.parts) if args.parts else None
+    if partition is not None:
+        lattice.check_covers(partition, host.n)
     if args.vectors:
         if partition is None:
             raise ValueError("--vectors needs --parts")

@@ -16,6 +16,18 @@ search deterministic.
 Searches take an optional node budget (number of attempted vertex
 placements); exhausting it raises BudgetExceededError, which callers
 report as an inconclusive outcome distinct from "no embedding exists".
+
+The order, the edge constraints and the degree masks are set up in one
+place, `_plan`, which the copy enumeration of the tiling module shares.
+That enumeration wants each copy (image set) once, not each embedding,
+and `_symmetry_conditions` gives it Grochow-Kellis conditions for that:
+Aut(F) is computed as the embeddings of F in itself, and down a
+stabiliser chain each vertex v with a non-trivial orbit gets
+image(v) < image(u) for the other u in its orbit.  Exactly one
+embedding of every Aut(F)-orbit meets them all.  Two embeddings of a
+tournament F with the same image set differ by an automorphism (the
+host restricted to that set is a tournament isomorphic to F), so for a
+tournament pattern one orbit is one copy.
 """
 
 from __future__ import annotations
@@ -33,14 +45,13 @@ def variable_order(pattern):
     return sorted(range(pattern.n), key=key)
 
 
-def _mappings(pattern, host, budget=None):
-    """Yield every embedding as a tuple indexed by pattern vertex."""
-    np_, nh = pattern.n, host.n
-    if np_ > nh:
-        return
+def _plan(pattern, host):
+    """The search set-up shared by every embedding walk: the variable
+    order, per slot the (earlier slot, True if the pattern edge runs
+    earlier -> current) constraints, and per slot the host vertices whose
+    out- and in-degrees are large enough."""
     order = variable_order(pattern)
     pos = {v: i for i, v in enumerate(order)}
-    # constraints[i]: list of (earlier slot, True if pattern edge earlier->current)
     constraints = []
     for i, v in enumerate(order):
         cons = []
@@ -50,17 +61,24 @@ def _mappings(pattern, host, budget=None):
             elif pattern.has_edge(v, u):
                 cons.append((pos[u], False))
         constraints.append(cons)
-
-    full = (1 << nh) - 1
     degree_ok = []
     for v in order:
         po, pi = pattern.degrees(v)
         mask = 0
-        for w in range(nh):
+        for w in range(host.n):
             if host.out_rows[w].bit_count() >= po and host.in_rows[w].bit_count() >= pi:
                 mask |= 1 << w
         degree_ok.append(mask)
+    return order, constraints, degree_ok
 
+
+def _mappings(pattern, host, budget=None):
+    """Yield every embedding as a tuple indexed by pattern vertex."""
+    np_, nh = pattern.n, host.n
+    if np_ > nh:
+        return
+    order, constraints, degree_ok = _plan(pattern, host)
+    full = (1 << nh) - 1
     out_rows, in_rows = host.out_rows, host.in_rows
     image = [0] * np_
     nodes = 0
@@ -91,6 +109,26 @@ def _mappings(pattern, host, budget=None):
         # the recursive closure is a reference cycle that would leave the
         # constraint and degree-mask lists to the cyclic garbage collector
         del extend
+
+
+def _symmetry_conditions(pattern):
+    """Grochow-Kellis conditions (v, u), each meaning image(v) < image(u),
+    that leave exactly one embedding in every Aut(pattern)-orbit.
+
+    Vertices are taken in the variable order; a vertex v whose orbit
+    under the current group is non-trivial must map below the rest of
+    its orbit, and the group shrinks to v's stabiliser.  v is then the
+    first of its orbit to be placed, so every condition bounds a later
+    slot from below.
+    """
+    auts = list(_mappings(pattern, pattern))
+    conditions = []
+    for v in variable_order(pattern):
+        orbit = sorted({a[v] for a in auts})
+        if len(orbit) > 1:
+            conditions += [(v, u) for u in orbit if u != v]
+            auts = [a for a in auts if a[v] == v]
+    return conditions
 
 
 def iter_embeddings(pattern, host, budget=None):

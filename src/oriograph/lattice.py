@@ -92,6 +92,12 @@ class EdgeVectorReport:
         return frozenset(v for v, c in self.counts if c >= self.threshold)
 
 
+def check_covers(partition, n):
+    """Raise ValueError unless the partition covers exactly 0..n-1."""
+    if partition.ground_mask != (1 << n) - 1:
+        raise ValueError(f"partition does not cover exactly the vertices 0..{n - 1}")
+
+
 def edge_vectors(hyper, partition, threshold=1):
     """Tally the index vector of every hyperedge; robust means count >= threshold.
 
@@ -99,8 +105,7 @@ def edge_vectors(hyper, partition, threshold=1):
     """
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
-    if partition.ground_mask != (1 << hyper.n) - 1:
-        raise ValueError(f"partition does not cover exactly the vertices 0..{hyper.n - 1}")
+    check_covers(partition, hyper.n)
     tally = {}
     for e in hyper.edges:
         vec = partition.index_vector_of_mask(e)

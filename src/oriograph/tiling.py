@@ -8,9 +8,25 @@ induced).  The vertex sets of the copies of F in G form a k-uniform
 hypergraph on V(G); a perfect tiling is exactly a perfect matching of
 that hypergraph, i.e. an exact cover of V(G) by hyperedges.
 
+Copies are enumerated as vertex masks by the embedding search's walk
+(the same plan as in embed, one node per placement), except that at the
+last pattern vertex each candidate bit is ORed into the mask of the
+vertices placed so far instead of being mapped.  A tournament pattern
+walks under its Grochow-Kellis symmetry conditions (see embed), which
+reach every copy exactly once; any other pattern can have embeddings
+with one image set that no automorphism relates, so its masks are
+deduplicated.
+
 The solver is a bitmask exact-cover search: it always branches on the
 uncovered vertex with the fewest remaining options and tries those
 options in lexicographic vertex-set order, so runs are deterministic.
+Each node hands its children the per-vertex option lists it already
+narrowed, filtered by the chosen copy.  Whether an uncovered set can be
+tiled depends on that set alone, so a set whose subtree was searched in
+full without a cover is remembered and never searched again; this skips
+only subtrees without a cover, so the first cover found is unchanged.
+A search cut off by its budget records nothing, and the memo stops
+growing at EDGE_CAP sets, which bounds its memory and only costs repeats.
 Refutations are certified in two distinct ways: "refuted-exhaustive"
 means the cover search ran to completion, "refuted-lattice" means the
 residue-lattice pre-check (see the lattice module) already proves the
@@ -20,12 +36,12 @@ host's index vector unreachable from the copies' index vectors, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import lattice
 from .core import bits
 from .errors import BudgetExceededError, ResourceLimitError
-from .embed import _mappings, find_embedding
+from .embed import _plan, _symmetry_conditions, find_embedding
 
 FOUND = "found"
 REFUTED_EXHAUSTIVE = "refuted-exhaustive"
@@ -45,6 +61,8 @@ class CopyHypergraph:
     n: int
     k: int
     edges: tuple
+    # search nodes the enumeration spent; not part of the hypergraph
+    nodes: int = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -67,67 +85,122 @@ class TilingResult:
 
 
 def copy_hypergraph(pattern, host, budget=None):
-    """Enumerate the vertex sets of all copies of the pattern in the host,
-    by collecting the image set of every embedding."""
+    """Enumerate the vertex sets of all copies of the pattern in the host;
+    the hypergraph records the search nodes spent, which count against
+    the budget."""
     if pattern.n == 0:
         raise ValueError("pattern must have at least one vertex")
-    # a list in discovery order, which is nearly sorted, so the sort below is cheap
-    edges = []
-    seen = set()
-    for mapping in _mappings(pattern, host, budget):
-        mask = 0
-        for w in mapping:
-            mask |= 1 << w
-        if mask in seen:
-            continue
-        if len(edges) >= EDGE_CAP:
-            raise ResourceLimitError(f"copy enumeration exceeded the edge cap of {EDGE_CAP}")
-        seen.add(mask)
-        edges.append(mask)
-    edges.sort(key=lambda mask: tuple(bits(mask)))
-    return CopyHypergraph(n=host.n, k=pattern.n, edges=tuple(edges))
+    np_, nh = pattern.n, host.n
+    if np_ > nh:
+        return CopyHypergraph(n=nh, k=np_, edges=(), nodes=0)
+    order, constraints, degree_ok = _plan(pattern, host)
+    pos = {v: i for i, v in enumerate(order)}
+    # slot of u -> slots of the v that must map below it
+    above = [[] for _ in order]
+    for v, u in _symmetry_conditions(pattern) if pattern.is_tournament() else ():
+        above[pos[u]].append(pos[v])
+    full = (1 << nh) - 1
+    top = 1 << (nh - 1)
+    out_rows, in_rows = host.out_rows, host.in_rows
+    last = np_ - 1
+    image = [0] * np_
+    # bit-reversed mask -> mask, which also dedupes: reversing puts vertex
+    # 0 on top, so for sets of one size the descending order of the
+    # reversed masks is the lexicographic order of the sets
+    found = {}
+    nodes = 0
+
+    def extend(slot, used, rused):
+        nonlocal nodes
+        cand = degree_ok[slot] & ~used & full
+        for earlier, forward in constraints[slot]:
+            cand &= out_rows[image[earlier]] if forward else in_rows[image[earlier]]
+            if not cand:
+                return
+        for earlier in above[slot]:
+            cand &= -2 << image[earlier]
+            if not cand:
+                return
+        if slot == last:
+            nodes += cand.bit_count()
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError(budget)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                found[rused | top >> (low.bit_length() - 1)] = used | low
+            if len(found) > EDGE_CAP:
+                raise ResourceLimitError(f"copy enumeration exceeded the edge cap of {EDGE_CAP}")
+            return
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError(budget)
+            w = low.bit_length() - 1
+            image[slot] = w
+            extend(slot + 1, used | low, rused | top >> w)
+
+    try:
+        extend(0, 0, 0)
+    finally:
+        # the recursive closure is a reference cycle that would keep
+        # found alive until the next full garbage collection
+        del extend
+    edges = tuple(found[r] for r in sorted(found, reverse=True))
+    return CopyHypergraph(n=nh, k=np_, edges=edges, nodes=nodes)
 
 
 def _exact_cover(ground_mask, options, budget=None):
-    """First exact cover of ground_mask by disjoint option masks, or None.
+    """First exact cover of ground_mask by disjoint option masks, as a
+    list of masks, or None.
 
     options must be sorted; branching vertex is the uncovered one with the
     fewest live options (ties to the smallest vertex).
     """
-    by_vertex = {}
-    for idx, mask in options:
-        for v in bits(mask):
-            by_vertex.setdefault(v, []).append((idx, mask))
+    by_vertex = {v: [] for v in bits(ground_mask)}
+    for mask in options:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            by_vertex[low.bit_length() - 1].append(mask)
+    failed = set()
     nodes = 0
 
-    def solve(remaining, chosen):
+    def solve(remaining, live, chosen):
+        # live: (vertex, its options inside remaining) for the uncovered
+        # vertices in ascending order, cut short after an empty list
         nonlocal nodes
         if not remaining:
             return list(chosen)
-        best_v, best_live = -1, None
-        for v in bits(remaining):
-            live = [
-                (idx, mask)
-                for idx, mask in by_vertex.get(v, ())
-                if mask & ~remaining == 0
-            ]
-            if best_live is None or len(live) < len(best_live):
-                best_v, best_live = v, live
-                if not live:
-                    return None
-        for idx, mask in best_live:
+        best = min(live, key=lambda entry: len(entry[1]))[1]
+        for mask in best:
+            rest = remaining & ~mask
+            if rest in failed:
+                continue
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceededError(budget)
-            chosen.append(idx)
-            found = solve(remaining & ~mask, chosen)
+            child = []
+            for v, opts in live:
+                if not mask >> v & 1:
+                    kept = [m for m in opts if not m & mask]
+                    child.append((v, kept))
+                    if not kept:
+                        break
+            chosen.append(mask)
+            found = solve(rest, child, chosen)
             if found is not None:
                 return found
             chosen.pop()
+        if len(failed) < EDGE_CAP:
+            failed.add(remaining)
         return None
 
     try:
-        return solve(ground_mask, [])
+        return solve(ground_mask, list(by_vertex.items()), [])
     finally:
         # the recursive closure is a reference cycle that would keep
         # by_vertex alive until the next full garbage collection
@@ -148,11 +221,11 @@ def hypergraph_perfect_matching(hyper, vertices, budget=None):
         ground |= 1 << v
     if hyper.k and len(vset) % hyper.k:
         return None
-    options = [(idx, e) for idx, e in enumerate(hyper.edges) if e & ~ground == 0]
+    options = [e for e in hyper.edges if e & ~ground == 0]
     chosen = _exact_cover(ground, options, budget)
     if chosen is None:
         return None
-    return tuple(tuple(bits(hyper.edges[idx])) for idx in chosen)
+    return tuple(tuple(bits(mask)) for mask in chosen)
 
 
 def perfect_tiling(pattern, host, partition=None, budget=None):
@@ -161,6 +234,8 @@ def perfect_tiling(pattern, host, partition=None, budget=None):
     With a partition of the host's vertex set, the residue-lattice
     pre-check runs first and can refute without any cover search.  Copies
     in a found tiling are re-verified against the host before returning.
+    The node budget is one budget for the whole call: the cover search
+    gets what copy enumeration left of it.
     """
     if pattern.n == 0:
         raise ValueError("pattern must have at least one vertex")
@@ -181,6 +256,8 @@ def perfect_tiling(pattern, host, partition=None, budget=None):
                 REFUTED_LATTICE,
                 note=f"host index vector {verdict.target} unreachable modulo {verdict.modulus}",
             )
+    if budget is not None:
+        budget -= hyper.nodes
     try:
         matching = hypergraph_perfect_matching(hyper, range(host.n), budget)
     except BudgetExceededError:

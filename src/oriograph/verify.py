@@ -32,9 +32,11 @@ FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 # The 12000 node budget is calibrated: the costliest search the fast
-# profile must finish (C_6^2 into the t=3 blow-up) needs 2478 nodes,
-# while enumerating level-3 triangle-blow-up copies in t_sk(3,1) needs
-# 16212, so that one refutation honestly reports INCONCLUSIVE.
+# profile must finish, the exhaustive refutation of a D_3-factor of
+# t_sk(3,1), needs 4922 nodes of one budget (4886 to enumerate the
+# level-3 triangle-blow-up copies under symmetry breaking, where every
+# embedding took 16212, and 36 for the cover search), and C_6^2 into
+# the t=3 blow-up needs 2478; every check passes from 4922 nodes up.
 PROFILES = {
     "fast": {
         "budget": 12_000,

@@ -146,6 +146,7 @@ def test_partition_must_cover_exactly_the_host(tmp_path, capsys):
     assert run(capsys, *lat) == (2, "")
     embed = ["embed", "--pattern", str(triangle), "--host", str(host), "--parts", str(parts)]
     assert run(capsys, *embed, "--vectors") == (2, "")
+    assert run(capsys, *embed, "--json") == (2, "")
 
 
 def test_tile_divisibility(paths, capsys):
@@ -272,8 +273,7 @@ def test_verify_paper_fast(capsys):
     code, doc = run_json(capsys, "verify-paper", "--profile", "fast")
     assert code == 0
     statuses = {c["name"]: c["status"] for c in doc["checks"]}
-    assert statuses["tsk-tiling-refuted"] == "INCONCLUSIVE"
-    assert all(s == "PASS" for name, s in statuses.items() if name != "tsk-tiling-refuted")
+    assert all(s == "PASS" for s in statuses.values()), statuses
 
 
 def test_usage_errors(tmp_path, capsys):

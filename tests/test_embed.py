@@ -95,6 +95,7 @@ def test_search_leaves_no_cyclic_garbage():
     s, t7 = graph_s(), rotational(7, [1, 2, 4])
     calls = {
         "find_embedding": lambda: find_embedding(s, t7),
+        "copy_hypergraph": lambda: copy_hypergraph(f_r(1), t7).edges,
         "canonical_form": lambda: canonical_form(t7),
         "enumerate_regular_tournaments": lambda: enumerate_regular_tournaments(5),
     }

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from oriograph import lattice
-from oriograph.core import OrientedGraph
+from oriograph.core import OrientedGraph, bits
+from oriograph.errors import BudgetExceededError
 from oriograph.generators import (
     blow_up,
     c3_barrier,
@@ -15,9 +16,10 @@ from oriograph.generators import (
     f_r,
     graph_s,
     rotational,
+    semi_regular_tournament,
     t_sk,
 )
-from oriograph.oracles import random_tournament, tilable
+from oriograph.oracles import embeddings, random_oriented, random_tournament, tilable
 from oriograph.tiling import (
     FOUND,
     INCONCLUSIVE,
@@ -42,6 +44,84 @@ def test_copy_hypergraph_counts():
     c52 = rotational(5, [1, 2])
     hyper = copy_hypergraph(d, c52)
     assert len(hyper.edges) == 5  # every 4-subset induces a copy
+
+
+def _plant(rng, pattern, n):
+    """A random tournament on n vertices with the pattern laid on a random
+    set of its vertices, so that the host holds at least one copy."""
+    spots = rng.sample(range(n), pattern.n)
+    planted = {(spots[u], spots[v]) for u, v in pattern.edges()}
+    kept = [e for e in random_tournament(rng, n).edges() if {e, e[::-1]}.isdisjoint(planted)]
+    return OrientedGraph(n, kept + sorted(planted))
+
+
+def test_copies_match_the_embedding_oracle():
+    # every copy once, whether symmetry breaking (tournament patterns) or
+    # deduplication (the others) removes the repeated image sets
+    rng = random.Random("copy-oracle")
+    tournaments = [f_r(1), rotational(5, [1, 2]), rotational(7, [1, 2, 4]), d_abc(2, 2, 2)[0]]
+    planted = [(p, _plant(rng, p, rng.randrange(p.n, 9))) for p in tournaments for _ in range(3)]
+    cases = list(planted)
+    for trial in range(60):
+        pattern = random_oriented(rng, rng.randrange(2, 5))
+        host = (random_tournament if trial % 2 else random_oriented)(rng, rng.randrange(2, 9))
+        cases.append((pattern, host))
+    for trial, (pattern, host) in enumerate(cases):
+        images = {sum(1 << w for w in image) for image in embeddings(pattern, host)}
+        edges = copy_hypergraph(pattern, host).edges
+        assert edges == tuple(sorted(images, key=lambda m: tuple(bits(m)))), trial
+        assert edges or trial >= len(planted), trial
+
+
+def test_symmetry_breaking_work_count():
+    # D_3 has 3 automorphisms; a walk with one node per embedding places 16212
+    d3, _ = d_abc(3, 3, 3)
+    host = t_sk(3, 1).graph
+    assert copy_hypergraph(d3, host, budget=4886).nodes == 4886
+    with pytest.raises(BudgetExceededError):
+        copy_hypergraph(d3, host, budget=4885)
+
+
+def test_one_budget_covers_both_phases():
+    # the path is no tournament, so its copy enumeration breaks no symmetry
+    path = OrientedGraph(3, [(0, 1), (1, 2)])
+    host, _ = c3_barrier(3)
+    hyper = copy_hypergraph(path, host)
+    cover = 3  # one node per copy: the first branch tiles
+    assert hypergraph_perfect_matching(hyper, range(host.n), budget=cover)
+    with pytest.raises(BudgetExceededError):
+        hypergraph_perfect_matching(hyper, range(host.n), budget=cover - 1)
+    both = hyper.nodes + cover
+    assert both - 1 >= max(hyper.nodes, cover)
+    assert perfect_tiling(path, host, budget=both).mode == FOUND
+    result = perfect_tiling(path, host, budget=both - 1)
+    assert result.mode == INCONCLUSIVE
+    assert result.note == "budget exhausted during cover search"
+
+
+def test_first_cover_is_pinned():
+    # the first cover in branching order; the narrowed option lists and the
+    # memo of refuted remainders must not change which cover comes first
+    d, _ = d_abc(1, 1, 2)
+    pinned = {
+        16: ((0, 1, 7, 9), (2, 3, 8, 11), (4, 5, 10, 13), (6, 12, 14, 15)),
+        24: ((0, 1, 11, 13), (2, 3, 12, 15), (4, 5, 14, 17), (6, 7, 16, 19),
+             (8, 9, 18, 21), (10, 20, 22, 23)),
+        32: ((0, 1, 15, 17), (2, 3, 16, 19), (4, 5, 18, 21), (6, 7, 20, 23),
+             (8, 9, 22, 25), (10, 11, 24, 27), (12, 13, 26, 29), (14, 28, 30, 31)),
+    }
+    for n, copies in pinned.items():
+        result = perfect_tiling(d, semi_regular_tournament(n))
+        assert result.mode == FOUND and result.tiling.copies == copies, n
+
+
+def test_memo_refutation_is_sound():
+    # the lattice proves that c3_barrier(6) has no triangle factor; the
+    # cover search, which skips every remainder it has refuted before,
+    # must finish with the same answer
+    host, parts = c3_barrier(6)
+    assert perfect_tiling(f_r(1), host, partition=parts).mode == REFUTED_LATTICE
+    assert perfect_tiling(f_r(1), host).mode == REFUTED_EXHAUSTIVE
 
 
 def test_perfect_tiling_found_and_verified():
@@ -129,8 +209,6 @@ def test_hypergraph_matching_budget():
     w = t_sk(2, 1)
     d2, _ = d_abc(2, 2, 2)
     hyper = copy_hypergraph(d2, w.graph)
-    from oriograph.errors import BudgetExceededError
-
     with pytest.raises(BudgetExceededError):
         hypergraph_perfect_matching(hyper, range(w.graph.n), budget=0)
 
