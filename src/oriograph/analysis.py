@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .core import Partition, bits
+from .core import Partition, Record, bits
 
 RESTARTS = 30
 
@@ -85,12 +84,10 @@ def d_copies_floor(graph):
     return (Fraction(1, 32) - 2 * c) * n**3
 
 
-@dataclass(frozen=True)
-class ExtremalVerdict:
-    ok: bool
-    sizes: tuple
-    reverse_counts: tuple  # counts for the partition as given
-    passing_order: tuple | None  # part order that met the bounds, if any
+class ExtremalVerdict(Record):
+    # reverse_counts: counts for the partition as given; passing_order: the
+    # part order that met the bounds, or None
+    __slots__ = ("ok", "sizes", "reverse_counts", "passing_order")
 
 
 def _reverse_counts(graph, masks):

@@ -9,13 +9,13 @@ across threads.
 
 The module also defines vertex partitions with their index vectors
 (i_P(U) counts how many vertices of U fall in each part), injective
-edge-preserving embeddings, and the plain-text .dg / .parts file formats
-used by the command line tools.
+edge-preserving embeddings, the plain-text .dg / .parts file formats
+used by the command line tools, and Record, the base of the package's
+immutable result types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ParseError
@@ -170,12 +170,58 @@ class OrientedGraph:
         return f"OrientedGraph(n={self.n}, m={self.edge_count})"
 
 
-@dataclass(frozen=True)
-class Classification:
-    is_tournament: bool
-    min_semi_degree: int
-    is_semi_regular: bool
-    is_regular: bool
+class Record:
+    """Base of the package's immutable result types.
+
+    The fields are the subclass's __slots__, given in order by position or
+    by name; DEFAULTS maps fields to the values they take when left out.
+    Records compare, hash, print and pickle by their fields, leaving the
+    fields after the first COMPARED out of equality and hashing, and refuse
+    assignment.  Frozen dataclasses would do the same, but they compile
+    six methods for every class each time the package is imported, which
+    made up about a fifth of the memory an import keeps.
+    """
+
+    __slots__ = ()
+    DEFAULTS = {}
+    COMPARED = None
+
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        given = {**self.DEFAULTS, **named, **dict(zip(fields, values))}
+        if (len(values) > len(fields) or named.keys() & set(fields[: len(values)])
+                or given.keys() != set(fields)):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for name in fields:
+            object.__setattr__(self, name, given[name])
+
+    def _compared(self):
+        return tuple(getattr(self, name) for name in self.__slots__[: self.COMPARED])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Classification(Record):
+    __slots__ = ("is_tournament", "min_semi_degree", "is_semi_regular", "is_regular")
 
 
 class Partition:
@@ -241,13 +287,10 @@ class Partition:
         return f"Partition(sizes={tuple(len(p) for p in self.parts)})"
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """Injective map pattern -> host sending every pattern edge to a host edge."""
 
-    pattern: OrientedGraph
-    host: OrientedGraph
-    mapping: tuple
+    __slots__ = ("pattern", "host", "mapping")  # mapping[v]: the host vertex of v
 
     def verify(self):
         phi = self.mapping

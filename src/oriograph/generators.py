@@ -17,9 +17,7 @@ exactly the first m/2 positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import MAX_VERTICES, OrientedGraph, Partition
+from .core import MAX_VERTICES, OrientedGraph, Partition, Record
 
 
 def transitive(n):
@@ -161,15 +159,12 @@ def semi_regular_tournament(m):
     return OrientedGraph(m, edges)
 
 
-@dataclass(frozen=True)
-class TskWitness:
+class TskWitness(Record):
     """t_sk output: the tournament, its part structure, and the two reversed
     matchings as directed edges (the only edges running against the cyclic
     cross pattern)."""
 
-    graph: OrientedGraph
-    partition: Partition
-    reverse_edges: frozenset
+    __slots__ = ("graph", "partition", "reverse_edges")
 
 
 def t_sk(s, k):

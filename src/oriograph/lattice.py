@@ -18,20 +18,16 @@ e_i - e_j, whose absence is the standard divisibility barrier).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .core import Record
 from .errors import ResourceLimitError
 
 STATE_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class ResidueLattice:
+class ResidueLattice(Record):
     """Subgroup of (Z_m)^d generated by the given vectors."""
 
-    modulus: int
-    dimension: int
-    members: frozenset
+    __slots__ = ("modulus", "dimension", "members")
 
     def contains(self, vector):
         if len(vector) != self.dimension:
@@ -75,13 +71,11 @@ def residue_lattice(generators, modulus, dimension):
     return ResidueLattice(modulus=modulus, dimension=dimension, members=frozenset(members))
 
 
-@dataclass(frozen=True)
-class EdgeVectorReport:
+class EdgeVectorReport(Record):
     """Index vectors of a copy hypergraph's edges, with multiplicities."""
 
-    dimension: int
-    counts: tuple  # ((vector, count), ...) sorted by vector
-    threshold: int
+    # counts: ((vector, count), ...) sorted by vector
+    __slots__ = ("dimension", "counts", "threshold")
 
     @property
     def vectors(self):
@@ -137,12 +131,8 @@ def find_2_transferrals(report):
     return sorted(found)
 
 
-@dataclass(frozen=True)
-class LatticeVerdict:
-    refutes: bool
-    modulus: int
-    target: tuple
-    lattice: ResidueLattice
+class LatticeVerdict(Record):
+    __slots__ = ("refutes", "modulus", "target", "lattice")
 
 
 def tiling_lattice_precheck(hyper, partition):

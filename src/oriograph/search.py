@@ -4,8 +4,10 @@ Canonical forms make isomorphism decidable by string comparison: the
 canonical form of a graph is the lexicographically least serialization
 of its adjacency over all vertex relabellings.  Serialization order is
 the staircase one, vertex k contributing the bit pairs (p_i -> p_k,
-p_k -> p_i) for i < k, which lets the minimization run as a
-branch-and-bound over partial relabellings.
+p_k -> p_i) for i < k.  Chunk k (the pairs vertex k contributes)
+outranks every later chunk, so the minimization runs level by level over
+partial relabellings: extend every surviving prefix by every unused
+vertex and keep only the extensions whose new chunk is the least.
 
 Regular tournaments are enumerated by orienting the upper-triangle pairs
 in lexicographic order under running out-degree bounds, with vertex 0
@@ -41,23 +43,17 @@ from .generators import semi_regular_tournament
 from .tiling import FOUND, perfect_tiling
 
 
-def _chunks_to_int(n, chunks):
-    value = 0
-    for k, chunk in enumerate(chunks, start=1):
-        value = value << (2 * k) | chunk
-    return value
-
-
 def canonical_form(graph):
-    """(n, bits): least staircase serialization over all relabellings."""
-    _, form = _canonical_perm_and_form(graph)
+    """(n, bits): least staircase serialization over all relabellings,
+    found level by level (see _canonical_perm_and_form)."""
+    _, form, _ = _canonical_perm_and_form(graph)
     return form
 
 
 def canonical_graph(graph):
     """The canonical representative: the graph relabelled by a minimizing
     permutation, so isomorphic graphs map to equal graphs."""
-    perm, _ = _canonical_perm_and_form(graph)
+    perm, _, _ = _canonical_perm_and_form(graph)
     # perm[k] = original vertex placed at position k
     inverse = [0] * graph.n
     for spot, v in enumerate(perm):
@@ -67,61 +63,42 @@ def canonical_graph(graph):
 
 
 def _canonical_perm_and_form(graph):
-    """Branch and bound over partial relabellings.
+    """A minimizing permutation, the form, and the number of prefixes kept.
 
-    A frame is "tight" when its chunk prefix equals the current best's
-    prefix; only then can a child chunk greater than the best's next chunk
-    be pruned.  Any best found inside a subtree shares that subtree's
-    prefix, so tightness stays valid as the best improves.
+    Level k holds every prefix p_0..p_(k-1) whose chunks are the least
+    first k chunks of any relabelling.  Each is extended by every unused
+    vertex, and only the extensions with the least chunk k are kept.  In
+    the staircase order chunk k outranks all later chunks, so this drops
+    no prefix of a minimizing relabelling, and every prefix left after n
+    levels is one.  The count is the sum of the level sizes.
     """
     n = graph.n
     if n == 0:
-        return (), (0, 0)
+        return (), (0, 0), 0
     rows = graph.out_rows
-    best_chunks = None
-    best_perm = None
-
-    def extend(perm, used, chunks, tight):
-        nonlocal best_chunks, best_perm
-        k = len(perm)
-        if k == n:
-            if best_chunks is None or chunks < best_chunks:
-                best_chunks = list(chunks)
-                best_perm = list(perm)
-            return
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            if k == 0:
-                perm.append(v)
-                extend(perm, used | 1 << v, chunks, True)
-                perm.pop()
-                continue
-            chunk = 0
-            rv = rows[v]
-            for i in range(k):
-                pi = perm[i]
-                chunk = chunk << 2 | (rows[pi] >> v & 1) << 1 | rv >> pi & 1
-            if best_chunks is not None and tight:
-                ref = best_chunks[k - 1]
-                if chunk > ref:
+    # pair[u][v]: the bit pair (u -> v, v -> u) that v adds after u
+    pair = [[(rows[u] >> v & 1) << 1 | rows[v] >> u & 1 for v in range(n)] for u in range(n)]
+    level = [((v,), 1 << v) for v in range(n)]
+    kept = n
+    value = 0
+    for k in range(1, n):
+        least = survivors = None
+        for perm, used in level:
+            for v in range(n):
+                if used >> v & 1:
                     continue
-                child_tight = chunk == ref
-            else:
-                child_tight = best_chunks is None
-            perm.append(v)
-            chunks.append(chunk)
-            extend(perm, used | 1 << v, chunks, child_tight)
-            perm.pop()
-            chunks.pop()
-
-    try:
-        extend([], 0, [], True)
-    finally:
-        # the recursive closure is a reference cycle that would leave the
-        # best-so-far lists to the cyclic garbage collector
-        del extend
-    return tuple(best_perm), (n, _chunks_to_int(n, best_chunks))
+                chunk = 0
+                for u in perm:
+                    chunk = chunk << 2 | pair[u][v]
+                if least is None or chunk < least:
+                    least = chunk
+                    survivors = []
+                if chunk == least:
+                    survivors.append((perm + (v,), used | 1 << v))
+        level = survivors
+        kept += len(level)
+        value = value << (2 * k) | least
+    return level[0][0], (n, value), kept
 
 
 def enumerate_regular_tournaments(n):
@@ -165,7 +142,8 @@ def enumerate_regular_tournaments(n):
     try:
         place(0)
     finally:
-        # the recursive closure is a reference cycle, as in canonical forms
+        # the recursive closure is a reference cycle that would keep
+        # classes alive until the next full garbage collection
         del place
     return [canonical_graph(classes[form]) for form in sorted(classes)]
 

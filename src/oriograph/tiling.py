@@ -36,10 +36,8 @@ host's index vector unreachable from the copies' index vectors, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import lattice
-from .core import bits
+from .core import Record, bits
 from .errors import BudgetExceededError, ResourceLimitError
 from .embed import _plan, _symmetry_conditions, find_embedding
 
@@ -52,22 +50,19 @@ INCONCLUSIVE = "inconclusive"
 EDGE_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class CopyHypergraph:
+class CopyHypergraph(Record):
     """k-uniform hypergraph whose hyperedges are the vertex sets of the
     copies of the pattern, stored as vertex masks in lexicographic order
     of their sorted vertex tuples."""
 
-    n: int
-    k: int
-    edges: tuple
-    # search nodes the enumeration spent; not part of the hypergraph
-    nodes: int = field(compare=False)
+    # nodes: the search nodes the enumeration spent, not part of the
+    # hypergraph and left out of equality
+    __slots__ = ("n", "k", "edges", "nodes")
+    COMPARED = 3
 
 
-@dataclass(frozen=True)
-class Tiling:
-    copies: tuple
+class Tiling(Record):
+    __slots__ = ("copies",)
 
     @property
     def covered(self):
@@ -77,11 +72,9 @@ class Tiling:
         return len(self.covered) == host.n and sum(len(c) for c in self.copies) == host.n
 
 
-@dataclass(frozen=True)
-class TilingResult:
-    mode: str
-    tiling: Tiling | None = None
-    note: str | None = None
+class TilingResult(Record):
+    __slots__ = ("mode", "tiling", "note")
+    DEFAULTS = {"tiling": None, "note": None}
 
 
 def copy_hypergraph(pattern, host, budget=None):
@@ -152,13 +145,21 @@ def copy_hypergraph(pattern, host, budget=None):
     return CopyHypergraph(n=nh, k=np_, edges=edges, nodes=nodes)
 
 
+def _fewest_options(live):
+    return iter(min(live, key=lambda entry: len(entry[1]))[1])
+
+
 def _exact_cover(ground_mask, options, budget=None):
     """First exact cover of ground_mask by disjoint option masks, as a
     list of masks, or None.
 
     options must be sorted; branching vertex is the uncovered one with the
-    fewest live options (ties to the smallest vertex).
+    fewest live options (ties to the smallest vertex).  The search keeps
+    its own stack, one frame per chosen copy, so a cover of many copies
+    is not limited by the interpreter's recursion depth.
     """
+    if not ground_mask:
+        return []
     by_vertex = {v: [] for v in bits(ground_mask)}
     for mask in options:
         rest = mask
@@ -168,43 +169,41 @@ def _exact_cover(ground_mask, options, budget=None):
             by_vertex[low.bit_length() - 1].append(mask)
     failed = set()
     nodes = 0
-
-    def solve(remaining, live, chosen):
-        # live: (vertex, its options inside remaining) for the uncovered
-        # vertices in ascending order, cut short after an empty list
-        nonlocal nodes
-        if not remaining:
-            return list(chosen)
-        best = min(live, key=lambda entry: len(entry[1]))[1]
-        for mask in best:
+    # one frame per open node: its uncovered set, its live lists (the
+    # uncovered vertices in ascending order with their options inside that
+    # set, cut short after an empty list) and the branching vertex's
+    # options not yet tried; chosen[i] is the copy that led to frame i + 1
+    live = list(by_vertex.items())
+    stack = [(ground_mask, live, _fewest_options(live))]
+    chosen = []
+    while stack:
+        remaining, live, untried = stack[-1]
+        for mask in untried:
             rest = remaining & ~mask
-            if rest in failed:
-                continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceededError(budget)
-            child = []
-            for v, opts in live:
-                if not mask >> v & 1:
-                    kept = [m for m in opts if not m & mask]
-                    child.append((v, kept))
-                    if not kept:
-                        break
-            chosen.append(mask)
-            found = solve(rest, child, chosen)
-            if found is not None:
-                return found
-            chosen.pop()
-        if len(failed) < EDGE_CAP:
-            failed.add(remaining)
-        return None
-
-    try:
-        return solve(ground_mask, list(by_vertex.items()), [])
-    finally:
-        # the recursive closure is a reference cycle that would keep
-        # by_vertex alive until the next full garbage collection
-        del solve
+            if rest not in failed:
+                break
+        else:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            if len(failed) < EDGE_CAP:
+                failed.add(remaining)
+            continue
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(budget)
+        chosen.append(mask)
+        if not rest:
+            return chosen
+        child = []
+        for v, opts in live:
+            if not mask >> v & 1:
+                kept = [m for m in opts if not m & mask]
+                child.append((v, kept))
+                if not kept:
+                    break
+        stack.append((rest, child, _fewest_options(child)))
+    return None
 
 
 def hypergraph_perfect_matching(hyper, vertices, budget=None):

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, JSON output, file round trips."""
 
 import json
+import sys
 
 import pytest
 
@@ -147,6 +148,16 @@ def test_partition_must_cover_exactly_the_host(tmp_path, capsys):
     embed = ["embed", "--pattern", str(triangle), "--host", str(host), "--parts", str(parts)]
     assert run(capsys, *embed, "--vectors") == (2, "")
     assert run(capsys, *embed, "--json") == (2, "")
+
+
+def test_tile_deeper_than_the_recursion_limit(tmp_path, capsys):
+    n = sys.getrecursionlimit() + 10
+    host = tmp_path / "empty.dg"
+    host.write_text(f"{n} 0\n")
+    vertex = tmp_path / "vertex.dg"
+    vertex.write_text("1 0\n")
+    code, out = run(capsys, "tile", "--pattern", str(vertex), "--host", str(host))
+    assert (code, out.split("\n")[:3]) == (0, ["found", "0", "1"])
 
 
 def test_tile_divisibility(paths, capsys):

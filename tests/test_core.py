@@ -1,5 +1,6 @@
 """Graph type, partitions, and the .dg / .parts formats."""
 
+import pickle
 import random
 
 import pytest
@@ -110,6 +111,26 @@ def test_embedding_verify():
     assert not Embedding(pattern, host, (1, 1)).verify()
     emb = Embedding(pattern, host, (2, 0))
     assert emb.index_vector(Partition([[0], [1], [2]])) == (1, 0, 1)
+
+
+def test_records_are_immutable_values():
+    from oriograph.tiling import CopyHypergraph, TilingResult
+
+    a = TilingResult("found")
+    assert a == TilingResult(mode="found", tiling=None, note=None)
+    assert hash(a) == hash(TilingResult("found")) and a != TilingResult("inconclusive")
+    assert repr(a) == "TilingResult(mode='found', tiling=None, note=None)"
+    # the search nodes spent are not part of the hypergraph
+    assert CopyHypergraph(3, 1, (7,), 10) == CopyHypergraph(3, 1, (7,), 99)
+    assert pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(AttributeError):
+        a.mode = "refuted-exhaustive"
+    with pytest.raises(AttributeError):
+        del a.note
+    for values, named in (((), {}), (("found", None, None, None), {}),
+                          (("found",), {"mode": "x"}), (("found",), {"remark": "x"})):
+        with pytest.raises(TypeError):
+            TilingResult(*values, **named)
 
 
 def test_parse_serialize_round_trip():

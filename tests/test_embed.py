@@ -11,7 +11,7 @@ from oriograph.generators import cycle_power, d_abc, f_r, graph_s, rotational, t
 from oriograph.lattice import edge_vectors
 from oriograph.oracles import embeddings, random_oriented
 from oriograph.search import canonical_form, enumerate_regular_tournaments
-from oriograph.tiling import copy_hypergraph
+from oriograph.tiling import copy_hypergraph, perfect_tiling
 
 
 def test_known_containments():
@@ -91,11 +91,13 @@ def test_enumerate_index_vectors():
 
 
 def test_search_leaves_no_cyclic_garbage():
-    # each recursive search deletes its closure when it returns
+    # no search leaves a reference cycle behind (recursive ones delete
+    # their closures when they return)
     s, t7 = graph_s(), rotational(7, [1, 2, 4])
     calls = {
         "find_embedding": lambda: find_embedding(s, t7),
         "copy_hypergraph": lambda: copy_hypergraph(f_r(1), t7).edges,
+        "perfect_tiling": lambda: perfect_tiling(f_r(1), t7).mode,
         "canonical_form": lambda: canonical_form(t7),
         "enumerate_regular_tournaments": lambda: enumerate_regular_tournaments(5),
     }

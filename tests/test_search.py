@@ -9,8 +9,9 @@ import pytest
 from oriograph.core import OrientedGraph, isomorphic_brute
 from oriograph.generators import d_abc, f_r, graph_s, rotational, semi_regular_tournament
 from oriograph import oracles
-from oriograph.oracles import random_oriented
+from oriograph.oracles import random_oriented, random_tournament
 from oriograph.search import (
+    _canonical_perm_and_form,
     canonical_form,
     canonical_graph,
     enumerate_regular_tournaments,
@@ -24,11 +25,57 @@ def relabel(graph, perm):
     return OrientedGraph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges()])
 
 
+def shuffled(rng, graph):
+    perm = list(range(graph.n))
+    rng.shuffle(perm)
+    return relabel(graph, perm)
+
+
+def staircase(graph):
+    """The staircase serialization of the graph as it is labelled."""
+    value = 0
+    for k in range(1, graph.n):
+        for i in range(k):
+            value = value << 2 | graph.has_edge(i, k) << 1 | graph.has_edge(k, i)
+    return value
+
+
 def test_canonical_form_matches_bruteforce():
     rng = random.Random("canon")
     for trial in range(200):
         g = random_oriented(rng, rng.randrange(1, 7))
         assert canonical_form(g) == oracles.canonical_form(g), trial
+    # 7 vertices: random tournaments, the regular classes relabelled, and
+    # twins (1, 2, 3 and 4, 5), which keep many prefixes on every level
+    sevens = [random_tournament(rng, 7) for _ in range(4)]
+    regular = (rotational(7, [1, 2, 4]), *enumerate_regular_tournaments(7))
+    sevens += [shuffled(rng, g) for g in regular]
+    sevens.append(OrientedGraph(7, [(0, 1), (0, 2), (0, 3), (4, 0), (5, 0)]))
+    for trial, g in enumerate(sevens):
+        assert canonical_form(g) == oracles.canonical_form(g), trial
+
+
+def test_canonical_form_on_nine_vertices():
+    # too many relabellings for the oracle: isomorphic inputs must get equal
+    # forms, no higher than either input serializes, and the canonical
+    # graph must serialize to the form
+    rng = random.Random("canon-9")
+    hosts = [random_semi_regular(9, seed=f"canon-9:{i}") for i in range(20)]
+    hosts += [random_tournament(rng, 9) for _ in range(20)]
+    for trial, g in enumerate(hosts):
+        h = shuffled(rng, g)
+        form = canonical_form(g)
+        assert form == canonical_form(h), trial
+        assert form[1] <= min(staircase(g), staircase(h)), trial
+        assert (9, staircase(canonical_graph(h))) == form, trial
+
+
+def test_canonical_search_work_count():
+    # prefixes kept, summed over the levels; the branch and bound this
+    # replaced placed 640 and 15,334
+    _, _, qr7 = _canonical_perm_and_form(rotational(7, [1, 2, 4]))
+    _, _, regular9 = _canonical_perm_and_form(random_semi_regular(9, seed="c9:0"))
+    assert (qr7, regular9) == (133, 125)
 
 
 def test_canonical_form_is_an_isomorphism_invariant():

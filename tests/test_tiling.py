@@ -2,6 +2,7 @@
 enumeration oracle."""
 
 import random
+import sys
 
 import pytest
 
@@ -122,6 +123,14 @@ def test_memo_refutation_is_sound():
     host, parts = c3_barrier(6)
     assert perfect_tiling(f_r(1), host, partition=parts).mode == REFUTED_LATTICE
     assert perfect_tiling(f_r(1), host).mode == REFUTED_EXHAUSTIVE
+
+
+def test_cover_deeper_than_the_recursion_limit():
+    # one copy chosen per level: a single vertex tiles an edgeless host
+    n = sys.getrecursionlimit() + 10
+    result = perfect_tiling(OrientedGraph(1), OrientedGraph(n))
+    assert result.mode == FOUND
+    assert result.tiling.copies == tuple((v,) for v in range(n))
 
 
 def test_perfect_tiling_found_and_verified():
