@@ -269,11 +269,6 @@ class Partition:
             counts[self.part_of(v)] += 1
         return tuple(counts)
 
-    def index_vector_of_mask(self, mask):
-        if mask & ~self.ground_mask:
-            raise ValueError("vertex set is not covered by the partition")
-        return tuple((mask & pm).bit_count() for pm in self.masks)
-
     def covers(self, graph):
         return self.ground_mask == (1 << graph.n) - 1
 

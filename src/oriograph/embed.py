@@ -11,7 +11,8 @@ are the bitwise intersection of the appropriate in/out neighbourhoods of
 the already placed neighbours, filtered by a degree precheck.  Host
 candidates are tried in ascending index, so the first embedding found is
 the lexicographically least one under the variable order, making every
-search deterministic.
+search deterministic.  The walk keeps its own stack, one slot per pattern
+vertex, so a pattern of any order is searched without deep recursion.
 
 Searches take an optional node budget (number of attempted vertex
 placements); exhausting it raises BudgetExceededError, which callers
@@ -32,7 +33,7 @@ tournament pattern one orbit is one copy.
 
 from __future__ import annotations
 
-from .core import Embedding, bits
+from .core import Embedding
 from .errors import BudgetExceededError
 
 
@@ -55,18 +56,20 @@ def _plan(pattern, host):
     constraints = []
     for i, v in enumerate(order):
         cons = []
+        ins, outs = pattern.in_rows[v], pattern.out_rows[v]
         for u in order[:i]:
-            if pattern.has_edge(u, v):
+            if ins >> u & 1:
                 cons.append((pos[u], True))
-            elif pattern.has_edge(v, u):
+            elif outs >> u & 1:
                 cons.append((pos[u], False))
         constraints.append(cons)
+    host_degrees = [(o.bit_count(), i.bit_count()) for o, i in zip(host.out_rows, host.in_rows)]
     degree_ok = []
     for v in order:
         po, pi = pattern.degrees(v)
         mask = 0
-        for w in range(host.n):
-            if host.out_rows[w].bit_count() >= po and host.in_rows[w].bit_count() >= pi:
+        for w, (ho, hi) in enumerate(host_degrees):
+            if ho >= po and hi >= pi:
                 mask |= 1 << w
         degree_ok.append(mask)
     return order, constraints, degree_ok
@@ -77,38 +80,48 @@ def _mappings(pattern, host, budget=None):
     np_, nh = pattern.n, host.n
     if np_ > nh:
         return
+    if np_ == 0:
+        yield ()
+        return
     order, constraints, degree_ok = _plan(pattern, host)
     full = (1 << nh) - 1
     out_rows, in_rows = host.out_rows, host.in_rows
+    last = np_ - 1
+    # the walk keeps its own stack, one slot per pattern vertex: the host
+    # vertex placed there and the candidates not yet tried there; used is
+    # the vertices placed in the slots before slot
     image = [0] * np_
+    untried = [0] * np_
     nodes = 0
-
-    def extend(slot, used):
-        nonlocal nodes
-        if slot == np_:
-            mapping = [0] * np_
-            for i, v in enumerate(order):
-                mapping[v] = image[i]
-            yield tuple(mapping)
-            return
+    slot = used = 0
+    while True:
         cand = degree_ok[slot] & ~used & full
         for earlier, forward in constraints[slot]:
             cand &= out_rows[image[earlier]] if forward else in_rows[image[earlier]]
             if not cand:
+                break
+        while True:
+            while not cand and slot:
+                slot -= 1
+                used ^= 1 << image[slot]
+                cand = untried[slot]
+            if not cand:
                 return
-        for w in bits(cand):
+            low = cand & -cand
+            cand ^= low
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceededError(budget)
-            image[slot] = w
-            yield from extend(slot + 1, used | 1 << w)
-
-    try:
-        yield from extend(0, 0)
-    finally:
-        # the recursive closure is a reference cycle that would leave the
-        # constraint and degree-mask lists to the cyclic garbage collector
-        del extend
+            image[slot] = low.bit_length() - 1
+            if slot < last:
+                break
+            mapping = [0] * np_
+            for i, v in enumerate(order):
+                mapping[v] = image[i]
+            yield tuple(mapping)
+        untried[slot] = cand
+        used |= low
+        slot += 1
 
 
 def _symmetry_conditions(pattern):

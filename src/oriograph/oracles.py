@@ -2,9 +2,9 @@
 
 Each oracle enumerates vertex tuples with itertools.permutations and
 combinations and reads graphs only through has_edge and edges(), so it
-shares no code with the kernels in embed, tiling or search and cannot
-vouch for them; the count of labeled regular tournaments reads no graph
-at all.  They are exponential and meant for instances of at most
+shares no code with the kernels in embed, tiling, search or analysis and
+cannot vouch for them; the count of labeled regular tournaments reads no
+graph at all.  They are exponential and meant for instances of at most
 a dozen vertices.
 
 The random-graph helpers draw every pair in a fixed order from the
@@ -72,6 +72,19 @@ def residue_span(generators, modulus, dimension):
         tuple(sum(column) % modulus for column in zip(*choice))
         for choice in product([(0,) * dimension], *multiples)
     }
+
+
+def d_copy_counts(graph):
+    """Per vertex, the 4-sets containing it that induce the strong 4-vertex
+    tournament: scores {1, 1, 2, 2} inside the set, whose sum 6 makes all
+    six pairs edges."""
+    counts = [0] * graph.n
+    for quad in combinations(range(graph.n), 4):
+        scores = sorted(sum(graph.has_edge(u, w) for w in quad) for u in quad)
+        if scores == [1, 1, 2, 2]:
+            for u in quad:
+                counts[u] += 1
+    return counts
 
 
 def automorphisms(graph):

@@ -11,17 +11,23 @@ that hypergraph, i.e. an exact cover of V(G) by hyperedges.
 Copies are enumerated as vertex masks by the embedding search's walk
 (the same plan as in embed, one node per placement), except that at the
 last pattern vertex each candidate bit is ORed into the mask of the
-vertices placed so far instead of being mapped.  A tournament pattern
-walks under its Grochow-Kellis symmetry conditions (see embed), which
-reach every copy exactly once; any other pattern can have embeddings
-with one image set that no automorphism relates, so its masks are
-deduplicated.
+vertices placed so far instead of being mapped.  The walk keeps its own
+stack, one slot per pattern vertex, so a pattern of any order is walked
+without deep recursion.  A tournament pattern walks under its
+Grochow-Kellis symmetry conditions (see embed), which reach every copy
+exactly once; any other pattern can have embeddings with one image set
+that no automorphism relates, so its masks are deduplicated.
 
-The solver is a bitmask exact-cover search: it always branches on the
-uncovered vertex with the fewest remaining options and tries those
-options in lexicographic vertex-set order, so runs are deterministic.
-Each node hands its children the per-vertex option lists it already
-narrowed, filtered by the chosen copy.  Whether an uncovered set can be
+The solver is an exact-cover search on option bitsets (Knuth's
+"Algorithm X" branching rule, without the dancing links): option i is
+the i-th copy in lexicographic vertex-set order, col[v] is the int
+whose bit i is set iff option i contains v, and the options still
+disjoint from every chosen copy are one int, live.  A node branches on
+the uncovered vertex v with the fewest bits in col[v] & live (ties to
+the smallest vertex) and tries those options in ascending index, so runs
+are deterministic; choosing a copy clears col[u] from live for each of
+its vertices u.  The columns are built in C from the options packed into
+bytes, with no Python loop per copy.  Whether an uncovered set can be
 tiled depends on that set alone, so a set whose subtree was searched in
 full without a cover is remembered and never searched again; this skips
 only subtrees without a cover, so the first cover found is unchanged.
@@ -36,6 +42,8 @@ host's index vector unreachable from the copies' index vectors, and
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from . import lattice
 from .core import Record, bits
 from .errors import BudgetExceededError, ResourceLimitError
@@ -48,6 +56,7 @@ REFUTED_DIVISIBILITY = "refuted-divisibility"
 INCONCLUSIVE = "inconclusive"
 
 EDGE_CAP = 10_000_000
+PACK_CHUNK = 1024
 
 
 class CopyHypergraph(Record):
@@ -96,92 +105,128 @@ def copy_hypergraph(pattern, host, budget=None):
     top = 1 << (nh - 1)
     out_rows, in_rows = host.out_rows, host.in_rows
     last = np_ - 1
+    # the walk keeps its own stack, one slot per pattern vertex: the host
+    # vertex placed there and the candidates not yet tried there; used and
+    # rused (bit-reversed) are the vertices placed in the slots before slot
     image = [0] * np_
+    untried = [0] * np_
     # bit-reversed mask -> mask, which also dedupes: reversing puts vertex
     # 0 on top, so for sets of one size the descending order of the
     # reversed masks is the lexicographic order of the sets
     found = {}
     nodes = 0
-
-    def extend(slot, used, rused):
-        nonlocal nodes
+    slot = used = rused = 0
+    while True:
         cand = degree_ok[slot] & ~used & full
         for earlier, forward in constraints[slot]:
             cand &= out_rows[image[earlier]] if forward else in_rows[image[earlier]]
             if not cand:
-                return
-        for earlier in above[slot]:
-            cand &= -2 << image[earlier]
-            if not cand:
-                return
+                break
+        else:
+            for earlier in above[slot]:
+                cand &= -2 << image[earlier]
         if slot == last:
-            nodes += cand.bit_count()
-            if budget is not None and nodes > budget:
-                raise BudgetExceededError(budget)
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                found[rused | top >> (low.bit_length() - 1)] = used | low
-            if len(found) > EDGE_CAP:
-                raise ResourceLimitError(f"copy enumeration exceeded the edge cap of {EDGE_CAP}")
-            return
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceededError(budget)
-            w = low.bit_length() - 1
-            image[slot] = w
-            extend(slot + 1, used | low, rused | top >> w)
-
-    try:
-        extend(0, 0, 0)
-    finally:
-        # the recursive closure is a reference cycle that would keep
-        # found alive until the next full garbage collection
-        del extend
+            if cand:
+                nodes += cand.bit_count()
+                if budget is not None and nodes > budget:
+                    raise BudgetExceededError(budget)
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    found[rused | top >> (low.bit_length() - 1)] = used | low
+                if len(found) > EDGE_CAP:
+                    raise ResourceLimitError(f"copy enumeration exceeded the edge cap of {EDGE_CAP}")
+        while not cand and slot:
+            slot -= 1
+            w = image[slot]
+            used ^= 1 << w
+            rused ^= top >> w
+            cand = untried[slot]
+        if not cand:
+            break
+        low = cand & -cand
+        untried[slot] = cand ^ low
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(budget)
+        w = low.bit_length() - 1
+        image[slot] = w
+        used |= low
+        rused |= top >> w
+        slot += 1
     edges = tuple(found[r] for r in sorted(found, reverse=True))
     return CopyHypergraph(n=nh, k=np_, edges=edges, nodes=nodes)
 
 
-def _fewest_options(live):
-    return iter(min(live, key=lambda entry: len(entry[1]))[1])
+# _BIT_ROWS[j] maps a byte to b"1" if its bit j is set, else to b"0"
+_BIT_ROWS = [bytes(48 + (b >> j & 1) for b in range(256)) for j in range(8)]
 
 
 def _exact_cover(ground_mask, options, budget=None):
     """First exact cover of ground_mask by disjoint option masks, as a
     list of masks, or None.
 
-    options must be sorted; branching vertex is the uncovered one with the
-    fewest live options (ties to the smallest vertex).  The search keeps
-    its own stack, one frame per chosen copy, so a cover of many copies
-    is not limited by the interpreter's recursion depth.
+    Sets of options are bitsets over option indices: col[v] has bit i set
+    iff options[i] contains v, and a frame's live options (those disjoint
+    from every copy chosen above it) are one int.  The branching vertex is
+    the uncovered one whose col[v] & live has the fewest bits (ties to the
+    smallest vertex), and its options are tried in ascending index, i.e.
+    in the order given, which for copy_hypergraph's edges is the
+    lexicographic order.  The search keeps its own stack, one frame per
+    chosen copy, so a cover of many copies is not limited by the
+    interpreter's recursion depth.
     """
     if not ground_mask:
         return []
-    by_vertex = {v: [] for v in bits(ground_mask)}
-    for mask in options:
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            by_vertex[low.bit_length() - 1].append(mask)
+    if not options:
+        return None
+    # one little-endian row of width bytes per option; the byte column of
+    # vertex v, read from the last option back, translated to "0"/"1" digits
+    # and parsed in base 2, has bit i set iff option i contains v.  Rows
+    # are packed PACK_CHUNK options at a time, which bounds the short-lived
+    # bytes objects in memory at once.
+    width = (ground_mask.bit_length() + 7) // 8
+    packed = bytearray()
+    for first in range(0, len(options), PACK_CHUNK):
+        chunk = options[first : first + PACK_CHUNK]
+        packed += b"".join(map(int.to_bytes, chunk, repeat(width), repeat("little")))
+    end = len(packed) - width
+    col = {
+        v: int(packed[end + (v >> 3) :: -width].translate(_BIT_ROWS[v & 7]), 2)
+        for v in bits(ground_mask)
+    }
     failed = set()
     nodes = 0
-    # one frame per open node: its uncovered set, its live lists (the
-    # uncovered vertices in ascending order with their options inside that
-    # set, cut short after an empty list) and the branching vertex's
-    # options not yet tried; chosen[i] is the copy that led to frame i + 1
-    live = list(by_vertex.items())
-    stack = [(ground_mask, live, _fewest_options(live))]
+    # one frame per open node: its uncovered set, its live options, its
+    # branching vertex's live options as a string whose character i is "1"
+    # iff option i is one, and the index from which to look for the next
+    # one not yet tried; chosen[i] is the copy that led to frame i + 1
+    stack = [[ground_mask, (1 << len(options)) - 1, None, 0]]
     chosen = []
     while stack:
-        remaining, live, untried = stack[-1]
-        for mask in untried:
+        frame = stack[-1]
+        remaining, live, row, start = frame
+        if row is None:
+            # first visit: pick the branching vertex
+            fewest = len(options) + 1
+            rest = remaining
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                here = col[low.bit_length() - 1] & live
+                count = here.bit_count()
+                if count < fewest:
+                    fewest, row = count, here
+                    if not count:
+                        break
+            row = frame[2] = bin(row)[:1:-1]
+        i = row.find("1", start)
+        while i >= 0:
+            mask = options[i]
             rest = remaining & ~mask
             if rest not in failed:
                 break
+            i = row.find("1", i + 1)
         else:
             stack.pop()
             if chosen:
@@ -189,20 +234,19 @@ def _exact_cover(ground_mask, options, budget=None):
             if len(failed) < EDGE_CAP:
                 failed.add(remaining)
             continue
+        frame[3] = i + 1
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceededError(budget)
         chosen.append(mask)
         if not rest:
             return chosen
-        child = []
-        for v, opts in live:
-            if not mask >> v & 1:
-                kept = [m for m in opts if not m & mask]
-                child.append((v, kept))
-                if not kept:
-                    break
-        stack.append((rest, child, _fewest_options(child)))
+        taken = mask
+        while taken:
+            low = taken & -taken
+            taken ^= low
+            live &= ~col[low.bit_length() - 1]
+        stack.append([rest, live, None, 0])
     return None
 
 
@@ -220,7 +264,9 @@ def hypergraph_perfect_matching(hyper, vertices, budget=None):
         ground |= 1 << v
     if hyper.k and len(vset) % hyper.k:
         return None
-    options = [e for e in hyper.edges if e & ~ground == 0]
+    options = hyper.edges
+    if ground != (1 << hyper.n) - 1:
+        options = [e for e in options if e & ~ground == 0]
     chosen = _exact_cover(ground, options, budget)
     if chosen is None:
         return None

@@ -1,5 +1,6 @@
 """Vertex statistics, their windows, and the extremal-structure checker."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +15,8 @@ from oriograph.analysis import (
     semi_degree_slack,
 )
 from oriograph.generators import d_abc, rotational
+from oriograph.oracles import d_copy_counts as brute_d_copies
+from oriograph.oracles import random_oriented, random_tournament
 from oriograph.search import random_semi_regular
 
 
@@ -21,18 +24,6 @@ def brute_cyclic_edges(graph, v):
     outs = graph.out_neighbors(v)
     ins = set(graph.in_neighbors(v))
     return sum(1 for u in outs for w in graph.out_neighbors(u) if w in ins)
-
-
-def brute_d_copies(graph, v):
-    from itertools import combinations
-
-    count = 0
-    others = [u for u in range(graph.n) if u != v]
-    for trio in combinations(others, 3):
-        sub = graph.induced((v, *trio))
-        if sub.is_tournament() and sub.score_multiset() == (1, 1, 2, 2):
-            count += 1
-    return count
 
 
 def test_known_statistic_values():
@@ -49,10 +40,19 @@ def test_known_statistic_values():
 def test_statistics_match_brute_force():
     for n in (8, 11):
         g = random_semi_regular(n, seed="stats")
-        counts = d_copy_counts(g)
+        assert d_copy_counts(g) == brute_d_copies(g)
         for v in range(n):
             assert cyclic_edge_stat(g, v) == brute_cyclic_edges(g, v)
-            assert counts[v] == brute_d_copies(g, v)
+
+
+def test_d_copy_counts_on_graphs_with_non_edges():
+    # the labelling a->b, a->c, b->c, b->d, c->d, d->a needs all six pairs
+    # to be edges, so a 4-set with a non-edge is never counted
+    rng = random.Random("d-copies")
+    for trial in range(60):
+        n = rng.randrange(4, 13)
+        g = (random_tournament if trial % 4 == 0 else random_oriented)(rng, n)
+        assert d_copy_counts(g) == brute_d_copies(g), trial
 
 
 def test_windows_hold_on_sampled_hosts():

@@ -160,6 +160,18 @@ def test_tile_deeper_than_the_recursion_limit(tmp_path, capsys):
     assert (code, out.split("\n")[:3]) == (0, ["found", "0", "1"])
 
 
+def test_pattern_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # a directed path: as deep as a transitive tournament of the same
+    # order, with a file a thousand times shorter
+    n = sys.getrecursionlimit() + 10
+    path = tmp_path / "path.dg"
+    path.write_text(f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1)))
+    both = ["--pattern", str(path), "--host", str(path)]
+    assert run(capsys, "embed", *both) == (0, " ".join(map(str, range(n))) + "\n")
+    code, out = run(capsys, "tile", *both)
+    assert (code, out.split("\n")[0]) == (0, "found")
+
+
 def test_tile_divisibility(paths, capsys):
     code, doc = run_json(capsys, "tile", "--pattern", paths["d"], "--host", paths["t7"])
     assert code == 1

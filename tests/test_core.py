@@ -92,7 +92,6 @@ def test_partition_basics():
     assert p.d == 3
     assert p.part_of(2) == 1
     assert p.index_vector([0, 2, 3, 4]) == (1, 1, 2)
-    assert p.index_vector_of_mask(0b11000) == (0, 0, 2)
     assert p.covers(OrientedGraph(5))
     assert not p.covers(OrientedGraph(6))
     with pytest.raises(ValueError):

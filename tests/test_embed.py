@@ -2,12 +2,13 @@
 
 import gc
 import random
+import sys
 
 import pytest
 
 from oriograph.embed import count_embeddings, find_embedding, iter_embeddings, variable_order
 from oriograph.errors import BudgetExceededError
-from oriograph.generators import cycle_power, d_abc, f_r, graph_s, rotational, t_sk
+from oriograph.generators import cycle_power, d_abc, f_r, graph_s, rotational, t_sk, transitive
 from oriograph.lattice import edge_vectors
 from oriograph.oracles import embeddings, random_oriented
 from oriograph.search import canonical_form, enumerate_regular_tournaments
@@ -90,9 +91,17 @@ def test_enumerate_index_vectors():
     assert edge_vectors(copy_hypergraph(d, d), parts).vectors == {(1, 1, 2)}
 
 
+def test_pattern_deeper_than_the_recursion_limit():
+    # both walks keep one stack slot per pattern vertex, not one frame
+    n = sys.getrecursionlimit() + 10
+    t = transitive(n)
+    assert find_embedding(t, t).mapping == tuple(range(n))
+    hyper = copy_hypergraph(t, t)
+    assert (hyper.edges, hyper.nodes) == (((1 << n) - 1,), n)
+
+
 def test_search_leaves_no_cyclic_garbage():
-    # no search leaves a reference cycle behind (recursive ones delete
-    # their closures when they return)
+    # no search leaves a reference cycle behind
     s, t7 = graph_s(), rotational(7, [1, 2, 4])
     calls = {
         "find_embedding": lambda: find_embedding(s, t7),

@@ -1,10 +1,12 @@
 """Index-vector lattices, transferrals, the tiling pre-check and family G."""
 
+import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
-from oriograph.core import OrientedGraph, Partition
+from oriograph.core import OrientedGraph, Partition, bits
 from oriograph.generators import (
     blow_up,
     c3_barrier,
@@ -56,6 +58,30 @@ def test_edge_vectors_on_barriers():
     assert dict(report.counts) == {(0, 0, 3): 2, (0, 3, 0): 1, (1, 1, 1): 24}
     assert report.vectors <= {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)}
     assert find_2_transferrals(report) == []
+
+
+def test_edge_vector_multiplicities_against_a_brute_tally():
+    # every copy's vector recounted vertex by vertex, on hosts relabelled
+    # so that no part is a run of consecutive vertices
+    rng = random.Random("edge-vectors")
+    w = t_sk(2, 1)
+    cases = [(d_abc(2, 2, 2)[0], w.graph, w.partition), (f_r(1), *c3_barrier(8))]
+    for pattern, graph, partition in cases:
+        perm = list(range(graph.n))
+        rng.shuffle(perm)
+        host = OrientedGraph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges()])
+        parts = Partition([[perm[v] for v in part] for part in partition.parts])
+        hyper = copy_hypergraph(pattern, host)
+        brute = Counter(parts.index_vector(bits(e)) for e in hyper.edges)
+        report = edge_vectors(hyper, parts)
+        assert report.counts == tuple(sorted(brute.items()))
+        assert sum(c for _, c in report.counts) == len(hyper.edges) > 0
+    # no copies at all, and a partition with a single part
+    hyper = copy_hypergraph(f_r(1), OrientedGraph(4))
+    assert edge_vectors(hyper, Partition([[0, 1], [2, 3]])).counts == ()
+    host = rotational(5, [1, 2])
+    hyper = copy_hypergraph(f_r(1), host)
+    assert edge_vectors(hyper, Partition([range(5)])).counts == (((3,), len(hyper.edges)),)
 
 
 def test_edge_vectors_reject_a_partition_of_another_vertex_set():

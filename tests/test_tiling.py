@@ -28,6 +28,7 @@ from oriograph.tiling import (
     REFUTED_EXHAUSTIVE,
     REFUTED_LATTICE,
     Tiling,
+    _exact_cover,
     copy_hypergraph,
     hypergraph_perfect_matching,
     perfect_tiling,
@@ -114,6 +115,52 @@ def test_first_cover_is_pinned():
     for n, copies in pinned.items():
         result = perfect_tiling(d, semi_regular_tournament(n))
         assert result.mode == FOUND and result.tiling.copies == copies, n
+
+
+def test_cover_work_is_pinned():
+    # the cover search's own nodes, pinned by the budget boundary: a change
+    # to the branching rule or to the order of the options moves them
+    c3 = f_r(1)
+    d, _ = d_abc(1, 1, 2)
+    cases = [
+        (c3, c3_barrier(5)[0], 512),
+        (d_abc(3, 3, 3)[0], t_sk(3, 1).graph, 36),
+        (d, semi_regular_tournament(16), 4),
+        (d, semi_regular_tournament(24), 6),
+        (d, semi_regular_tournament(32), 8),
+    ]
+    for pattern, host, nodes in cases:
+        hyper = copy_hypergraph(pattern, host)
+        vertices = range(host.n)
+        expected = hypergraph_perfect_matching(hyper, vertices)
+        assert hypergraph_perfect_matching(hyper, vertices, budget=nodes) == expected
+        with pytest.raises(BudgetExceededError):
+            hypergraph_perfect_matching(hyper, vertices, budget=nodes - 1)
+
+
+def test_exact_cover_against_the_tiling_oracle():
+    # sparse random hosts, so that some leave a vertex in no copy at all
+    # and the search stops at its root
+    rng = random.Random("cover-oracle")
+    edge = OrientedGraph(2, [(0, 1)])
+    path = OrientedGraph(3, [(0, 1), (1, 2)])
+    patterns = (edge, f_r(1), path, d_abc(1, 1, 2)[0])
+    uncovered = 0
+    for trial in range(160):
+        pattern = patterns[trial % len(patterns)]
+        host = random_oriented(rng, pattern.n * rng.randrange(1, 4), density=rng.random())
+        edges = copy_hypergraph(pattern, host).edges
+        ground = (1 << host.n) - 1
+        reached = 0
+        for e in edges:
+            reached |= e
+        uncovered += reached != ground
+        cover = _exact_cover(ground, edges)
+        assert (cover is not None) == tilable(pattern, host), trial
+        if cover is not None:
+            assert set(cover) <= set(edges), trial
+            assert sum(cover) == ground and sum(c.bit_count() for c in cover) == host.n, trial
+    assert 0 < uncovered < 160
 
 
 def test_memo_refutation_is_sound():
