@@ -122,8 +122,7 @@ def extremal_check(graph, partition, gamma):
     _check_gamma(gamma)
     if partition.d != 3:
         raise ValueError("extremal structure is defined for 3 parts")
-    if not partition.covers(graph):
-        raise ValueError("partition does not cover the graph")
+    partition.check_covers(graph.n)
     n = graph.n
     sizes = tuple(len(p) for p in partition.parts)
     lo, hi = (1 / 3 - gamma) * n, (1 / 3 + gamma) * n

@@ -7,9 +7,12 @@ built-in claim checklist.
 
 Exit codes: 0 success / found / verified, 1 not found / refuted,
 2 usage or I/O error or a resource cap hit, 3 search gave up on its node
-budget.  `lattice --target` refutes (exit 1) only at --threshold 1, where
-the lattice is built from every copy vector.  With --json
-a single JSON document (sorted keys) goes to stdout; logs go to stderr.
+budget.  Inputs are checked where they are read, before any search, so
+a --parts file that does not cover exactly the host's vertices 0..n-1
+exits 2 whatever the budget and the orders.  `lattice --target` refutes
+(exit 1) only at --threshold 1, where the lattice is built from every
+copy vector.  With --json a single JSON document (sorted keys) goes to
+stdout; logs go to stderr.
 """
 
 from __future__ import annotations
@@ -120,14 +123,22 @@ def cmd_generate(args):
     return 0
 
 
+def _read_parts(args, host):
+    """The --parts partition, or None; refused before any search unless it
+    covers exactly the host's vertices."""
+    if not args.parts:
+        return None
+    partition = read_partition(args.parts)
+    partition.check_covers(host.n)
+    return partition
+
+
 # embed
 
 def cmd_embed(args):
     pattern = read_graph(args.pattern)
     host = read_graph(args.host)
-    partition = read_partition(args.parts) if args.parts else None
-    if partition is not None:
-        lattice.check_covers(partition, host.n)
+    partition = _read_parts(args, host)
     if args.vectors:
         if partition is None:
             raise ValueError("--vectors needs --parts")
@@ -156,7 +167,7 @@ def cmd_embed(args):
 def cmd_tile(args):
     pattern = read_graph(args.pattern)
     host = read_graph(args.host)
-    partition = read_partition(args.parts) if args.parts else None
+    partition = _read_parts(args, host)
     result = tiling.perfect_tiling(pattern, host, partition=partition, budget=args.budget)
     doc = {"mode": result.mode}
     if result.tiling is not None:
@@ -187,7 +198,7 @@ def cmd_tile(args):
 
 def cmd_lattice(args):
     host = read_graph(args.host)
-    partition = read_partition(args.parts)
+    partition = _read_parts(args, host)
     pattern = read_graph(args.pattern)
     hyper = tiling.copy_hypergraph(pattern, host, budget=args.budget)
     report = lattice.edge_vectors(hyper, partition, threshold=args.threshold)
@@ -240,10 +251,10 @@ def cmd_lattice(args):
 # analyze
 
 def cmd_analyze(args):
-    if args.stats != "extremal" and (args.seed is not None or args.gamma is not None):
-        raise ValueError("--seed and --gamma are read only with --stats extremal")
+    if args.stats != "extremal" and (args.parts or args.seed is not None or args.gamma is not None):
+        raise ValueError("--parts, --seed and --gamma are read only with --stats extremal")
     host = read_graph(args.host)
-    partition = read_partition(args.parts) if args.parts else None
+    partition = _read_parts(args, host)
     if args.stats == "extremal":
         gamma = args.gamma if args.gamma is not None else 0.05
         seed = args.seed if args.seed is not None else "0"
@@ -465,8 +476,8 @@ def build_parser():
 
     p = sub.add_parser("analyze", parents=[common], help="vertex statistics or extremal structure")
     p.add_argument("--host", required=True)
-    p.add_argument("--parts", help="candidate partition for the extremal check")
     # read only by --stats extremal; default None so that other stats can reject them
+    p.add_argument("--parts", help="candidate partition for the extremal check")
     p.add_argument("--seed", default=None, help="seed for the extremal partition search")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--stats", choices=["vertex", "extremal"], default="vertex")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import ParseError
+from .errors import EdgeError, ParseError
 
 # Constructions that can blow up in size refuse to go past this many vertices.
 MAX_VERTICES = 1024
@@ -43,15 +43,16 @@ class OrientedGraph:
         out = [0] * n
         inr = [0] * n
         m = 0
+        # m edges are accepted when one is refused, so m is its position
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                raise EdgeError(m, f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
-                raise ValueError(f"loop at vertex {u}")
+                raise EdgeError(m, f"loop at vertex {u}")
             if out[u] >> v & 1:
-                raise ValueError(f"duplicate edge ({u}, {v})")
+                raise EdgeError(m, f"duplicate edge ({u}, {v})")
             if out[v] >> u & 1:
-                raise ValueError(f"conflicting orientation for pair ({v}, {u})")
+                raise EdgeError(m, f"edge ({u}, {v}) conflicts with edge ({v}, {u})")
             out[u] |= 1 << v
             inr[v] |= 1 << u
             m += 1
@@ -269,8 +270,10 @@ class Partition:
             counts[self.part_of(v)] += 1
         return tuple(counts)
 
-    def covers(self, graph):
-        return self.ground_mask == (1 << graph.n) - 1
+    def check_covers(self, n):
+        """Raise ValueError unless the parts cover exactly the vertices 0..n-1."""
+        if self.ground_mask != (1 << n) - 1:
+            raise ValueError(f"partition does not cover exactly the vertices 0..{n - 1}")
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
@@ -335,27 +338,20 @@ def parse(text):
     body_rows = rows[1:]
     if len(body_rows) != m:
         raise ParseError(lineno, f"header announces {m} edges, file has {len(body_rows)}")
-    out = [0] * n
     edges = []
     for lineno, body in body_rows:
         fields = body.split()
         if len(fields) != 2:
             raise ParseError(lineno, f"edge line must be 'u v', got {body!r}")
         try:
-            u, v = int(fields[0]), int(fields[1])
+            edges.append((int(fields[0]), int(fields[1])))
         except ValueError:
             raise ParseError(lineno, f"edge line must be two integers, got {body!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(lineno, f"vertex out of range in edge ({u}, {v}), n={n}")
-        if u == v:
-            raise ParseError(lineno, f"loop at vertex {u}")
-        if out[u] >> v & 1:
-            raise ParseError(lineno, f"duplicate edge ({u}, {v})")
-        if out[v] >> u & 1:
-            raise ParseError(lineno, f"conflicting orientation for pair ({u}, {v})")
-        out[u] |= 1 << v
-        edges.append((u, v))
-    return OrientedGraph(n, edges)
+    # the constructor checks the edges themselves; its refusal names the edge's position
+    try:
+        return OrientedGraph(n, edges)
+    except EdgeError as exc:
+        raise ParseError(body_rows[exc.index][0], str(exc)) from None
 
 
 def serialize(graph):

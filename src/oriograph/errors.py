@@ -14,6 +14,14 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
+class EdgeError(ValueError):
+    """OrientedGraph refused an edge. Carries its 0-based position in the edge list."""
+
+    def __init__(self, index, message):
+        self.index = index
+        super().__init__(message)
+
+
 class BudgetExceededError(Exception):
     """A backtracking search hit its node-expansion cap before finishing."""
 

@@ -92,12 +92,6 @@ class EdgeVectorReport(Record):
         return frozenset(v for v, c in self.counts if c >= self.threshold)
 
 
-def check_covers(partition, n):
-    """Raise ValueError unless the partition covers exactly 0..n-1."""
-    if partition.ground_mask != (1 << n) - 1:
-        raise ValueError(f"partition does not cover exactly the vertices 0..{n - 1}")
-
-
 def edge_vectors(hyper, partition, threshold=1):
     """Tally the index vector of every hyperedge; robust means count >= threshold.
 
@@ -105,7 +99,7 @@ def edge_vectors(hyper, partition, threshold=1):
     """
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
-    check_covers(partition, hyper.n)
+    partition.check_covers(hyper.n)
     edges = hyper.edges
     columns = [list(map(int.bit_count, map(pm.__and__, edges))) for pm in partition.masks]
     tally = Counter(zip(*columns))

@@ -73,13 +73,6 @@ class CopyHypergraph(Record):
 class Tiling(Record):
     __slots__ = ("copies",)
 
-    @property
-    def covered(self):
-        return frozenset(v for copy in self.copies for v in copy)
-
-    def is_perfect(self, host):
-        return len(self.covered) == host.n and sum(len(c) for c in self.copies) == host.n
-
 
 class TilingResult(Record):
     __slots__ = ("mode", "tiling", "note")
@@ -250,24 +243,15 @@ def _exact_cover(ground_mask, options, budget=None):
     return None
 
 
-def hypergraph_perfect_matching(hyper, vertices, budget=None):
+def hypergraph_perfect_matching(hyper, budget=None):
     """Disjoint hyperedges, as sorted vertex tuples, covering exactly the
-    given vertex set, or None.
+    vertices 0..n-1 of the hypergraph, or None.
 
     Raises BudgetExceededError when the node budget runs out first.
     """
-    vset = set(vertices)
-    ground = 0
-    for v in vset:
-        if not 0 <= v < hyper.n:
-            raise ValueError(f"vertex {v} outside the hypergraph ground set")
-        ground |= 1 << v
-    if hyper.k and len(vset) % hyper.k:
+    if hyper.n % hyper.k:
         return None
-    options = hyper.edges
-    if ground != (1 << hyper.n) - 1:
-        options = [e for e in options if e & ~ground == 0]
-    chosen = _exact_cover(ground, options, budget)
+    chosen = _exact_cover((1 << hyper.n) - 1, hyper.edges, budget)
     if chosen is None:
         return None
     return tuple(tuple(bits(mask)) for mask in chosen)
@@ -276,14 +260,18 @@ def hypergraph_perfect_matching(hyper, vertices, budget=None):
 def perfect_tiling(pattern, host, partition=None, budget=None):
     """Search for a perfect tiling of the host by pattern copies.
 
-    With a partition of the host's vertex set, the residue-lattice
-    pre-check runs first and can refute without any cover search.  Copies
-    in a found tiling are re-verified against the host before returning.
+    A partition must cover exactly the host's vertices; any other raises
+    ValueError before any search.  With one, the residue-lattice pre-check
+    runs after copy enumeration and can refute without any cover search.
+    A found tiling is re-verified as a perfect tiling of the host before
+    returning.
     The node budget is one budget for the whole call: the cover search
     gets what copy enumeration left of it.
     """
     if pattern.n == 0:
         raise ValueError("pattern must have at least one vertex")
+    if partition is not None:
+        partition.check_covers(host.n)
     if host.n % pattern.n:
         return TilingResult(
             REFUTED_DIVISIBILITY,
@@ -304,7 +292,7 @@ def perfect_tiling(pattern, host, partition=None, budget=None):
     if budget is not None:
         budget -= hyper.nodes
     try:
-        matching = hypergraph_perfect_matching(hyper, range(host.n), budget)
+        matching = hypergraph_perfect_matching(hyper, budget)
     except BudgetExceededError:
         return TilingResult(INCONCLUSIVE, note="budget exhausted during cover search")
     if matching is None:
@@ -316,7 +304,8 @@ def perfect_tiling(pattern, host, partition=None, budget=None):
 
 
 def verify_tiling(pattern, host, tiling):
-    """Check disjointness and that every block contains a copy of the pattern."""
+    """Is the tiling perfect: pairwise disjoint blocks of the pattern's order
+    that cover every host vertex, each containing a copy of the pattern?"""
     seen = set()
     for copy in tiling.copies:
         block = set(copy)
@@ -325,4 +314,4 @@ def verify_tiling(pattern, host, tiling):
         seen |= block
         if find_embedding(pattern, host.induced(block)) is None:
             return False
-    return True
+    return seen == set(range(host.n))

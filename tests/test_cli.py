@@ -148,6 +148,14 @@ def test_partition_must_cover_exactly_the_host(tmp_path, capsys):
     embed = ["embed", "--pattern", str(triangle), "--host", str(host), "--parts", str(parts)]
     assert run(capsys, *embed, "--vectors") == (2, "")
     assert run(capsys, *embed, "--json") == (2, "")
+    # refused before any search: neither the budget nor the orders decide
+    assert run(capsys, *tile, "--parts", str(parts), "--budget", "1") == (2, "")
+    assert run(capsys, *lat, "--budget", "1") == (2, "")
+    t7 = tmp_path / "t7.dg"
+    assert cli.main(["generate", "rotational", "7", "1,2,4", "-o", str(t7)]) == 0
+    on_t7 = ["--host", str(t7), "--parts", str(parts)]
+    assert run(capsys, "tile", "--pattern", str(triangle), *on_t7) == (2, "")
+    assert run(capsys, "analyze", *on_t7, "--stats", "extremal") == (2, "")
 
 
 def test_tile_deeper_than_the_recursion_limit(tmp_path, capsys):
@@ -313,11 +321,16 @@ def test_usage_errors(tmp_path, capsys):
     assert cli.main(["generate", "s", "--seed", "1"]) == 2
     assert cli.main(["search", "enumerate-rt", "--n", "5", "--budget", "1"]) == 2
     capsys.readouterr()
-    # analyze reads --seed and --gamma only with --stats extremal
+    # analyze reads --parts, --seed and --gamma only with --stats extremal
     t7 = tmp_path / "t7.dg"
     assert cli.main(["generate", "rotational", "7", "1,2,4", "-o", str(t7)]) == 0
     assert cli.main(["analyze", "--host", str(t7), "--seed", "9"]) == 2
     assert cli.main(["analyze", "--host", str(t7), "--gamma", "0.3"]) == 2
+    # and --parts too, though the partition is one of t7
+    parts = tmp_path / "t7.parts"
+    parts.write_text("0 1\n2 3\n4 5 6\n")
+    assert cli.main(["analyze", "--host", str(t7), "--parts", str(parts)]) == 2
+    assert cli.main(["analyze", "--host", str(t7), "--parts", str(parts), "--stats", "extremal"]) in (0, 1)
     capsys.readouterr()
     # a gamma outside [0, inf) is a usage error, not a refutation
     for gamma in ("-0.5", "nan", "inf"):

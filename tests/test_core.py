@@ -20,7 +20,7 @@ from oriograph.core import (
     write_graph,
     write_partition,
 )
-from oriograph.errors import ParseError
+from oriograph.errors import EdgeError, ParseError
 from oriograph.oracles import random_oriented
 
 
@@ -48,8 +48,9 @@ def test_construction_rejects_bad_edges():
         OrientedGraph(2, [(1, 1)])
     with pytest.raises(ValueError):
         OrientedGraph(2, [(0, 1), (0, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(EdgeError) as err:
         OrientedGraph(2, [(0, 1), (1, 0)])
+    assert err.value.index == 1
     with pytest.raises(ValueError):
         OrientedGraph(-1)
 
@@ -92,8 +93,9 @@ def test_partition_basics():
     assert p.d == 3
     assert p.part_of(2) == 1
     assert p.index_vector([0, 2, 3, 4]) == (1, 1, 2)
-    assert p.covers(OrientedGraph(5))
-    assert not p.covers(OrientedGraph(6))
+    p.check_covers(5)
+    with pytest.raises(ValueError):
+        p.check_covers(6)
     with pytest.raises(ValueError):
         p.part_of(9)
     with pytest.raises(ValueError):
@@ -155,10 +157,17 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse("2 1\n0 x\n")
     assert err.value.line == 2
-    with pytest.raises(ParseError) as err:
-        parse("3 2\n0 1\n1 0\n")
-    assert err.value.line == 3
-    for bad in ("1 2 3\n", "2 -1\n", "2 1\n0 0\n", "2 1\n0 5\n"):
+    # the constructor refuses the edge, parse names its line past comments and blanks
+    for text, line in (
+        ("3 2\n0 1\n1 0\n", 3),  # conflict
+        ("3 2\n0 1\n# c\n2 2\n", 4),  # loop
+        ("3 3\n0 1\n\n1 2\n0 1  # again\n", 5),  # duplicate
+        ("3 2\n0 1\n0 5\n", 3),  # out of range
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == line, text
+    for bad in ("1 2 3\n", "2 -1\n"):
         with pytest.raises(ParseError):
             parse(bad)
 

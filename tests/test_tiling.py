@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from oriograph import lattice
-from oriograph.core import OrientedGraph, bits
+from oriograph.core import OrientedGraph, Partition, bits
 from oriograph.errors import BudgetExceededError
 from oriograph.generators import (
     blow_up,
@@ -90,9 +90,9 @@ def test_one_budget_covers_both_phases():
     host, _ = c3_barrier(3)
     hyper = copy_hypergraph(path, host)
     cover = 3  # one node per copy: the first branch tiles
-    assert hypergraph_perfect_matching(hyper, range(host.n), budget=cover)
+    assert hypergraph_perfect_matching(hyper, budget=cover)
     with pytest.raises(BudgetExceededError):
-        hypergraph_perfect_matching(hyper, range(host.n), budget=cover - 1)
+        hypergraph_perfect_matching(hyper, budget=cover - 1)
     both = hyper.nodes + cover
     assert both - 1 >= max(hyper.nodes, cover)
     assert perfect_tiling(path, host, budget=both).mode == FOUND
@@ -131,11 +131,10 @@ def test_cover_work_is_pinned():
     ]
     for pattern, host, nodes in cases:
         hyper = copy_hypergraph(pattern, host)
-        vertices = range(host.n)
-        expected = hypergraph_perfect_matching(hyper, vertices)
-        assert hypergraph_perfect_matching(hyper, vertices, budget=nodes) == expected
+        expected = hypergraph_perfect_matching(hyper)
+        assert hypergraph_perfect_matching(hyper, budget=nodes) == expected
         with pytest.raises(BudgetExceededError):
-            hypergraph_perfect_matching(hyper, vertices, budget=nodes - 1)
+            hypergraph_perfect_matching(hyper, budget=nodes - 1)
 
 
 def test_exact_cover_against_the_tiling_oracle():
@@ -247,18 +246,25 @@ def test_budget_gives_inconclusive():
     assert "budget" in result.note
 
 
-def test_verify_tiling_accepts_partial_rejects_garbage():
+def test_verify_tiling_rejects_partial_and_garbage():
     triangle = f_r(1)
     base = rotational(3, [1])
     host, _ = blow_up(base, 2)
+    assert verify_tiling(triangle, host, Tiling(copies=((0, 2, 4), (1, 3, 5))))
     # 0 and 1 share a blow-up class, so {0, 1, 2} contains no triangle
-    assert not verify_tiling(triangle, host, Tiling(copies=((0, 1, 2),)))
+    assert not verify_tiling(triangle, host, Tiling(copies=((0, 1, 2), (3, 4, 5))))
     # overlapping blocks fail even if each one is a copy
     assert not verify_tiling(triangle, host, Tiling(copies=((0, 2, 4), (0, 3, 5))))
-    # a valid partial tiling verifies but is not perfect
-    partial = Tiling(copies=((0, 2, 4),))
-    assert verify_tiling(triangle, host, partial)
-    assert not partial.is_perfect(host)
+    # disjoint copies that leave vertices uncovered are no perfect tiling
+    assert not verify_tiling(triangle, host, Tiling(copies=((0, 2, 4),)))
+
+
+def test_partition_of_another_vertex_set_is_refused_before_any_search():
+    bad = Partition([[0, 1, 2], [3, 4, 5, 99]])
+    # 3 does not divide 7, and budget 0 cannot enumerate a single copy
+    for host, budget in ((rotational(7, [1, 2, 4]), None), (blow_up(rotational(3, [1]), 2)[0], 0)):
+        with pytest.raises(ValueError):
+            perfect_tiling(f_r(1), host, partition=bad, budget=budget)
 
 
 def test_hypergraph_matching_budget():
@@ -266,7 +272,7 @@ def test_hypergraph_matching_budget():
     d2, _ = d_abc(2, 2, 2)
     hyper = copy_hypergraph(d2, w.graph)
     with pytest.raises(BudgetExceededError):
-        hypergraph_perfect_matching(hyper, range(w.graph.n), budget=0)
+        hypergraph_perfect_matching(hyper, budget=0)
 
 
 def test_oracle_agreement_on_random_instances():
