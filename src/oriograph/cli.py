@@ -402,7 +402,10 @@ def cmd_search(args):
 # verify-paper
 
 def cmd_verify_paper(args):
-    report = verify.run_checks(args.profile)
+    def timing(name, seconds):
+        print(f"{name} {seconds:.3f}", file=sys.stderr)
+
+    report = verify.run_checks(args.profile, on_timing=timing if args.timings else None)
 
     def human():
         for check in report["checks"]:
@@ -507,6 +510,9 @@ def build_parser():
 
     p = sub.add_parser("verify-paper", parents=[common], help="replay the built-in claim checklist")
     p.add_argument("--profile", choices=sorted(verify.PROFILES), default="full")
+    p.add_argument(
+        "--timings", action="store_true", help="write one 'name seconds' line per check to stderr"
+    )
     p.set_defaults(func=cmd_verify_paper)
 
     return parser

@@ -20,6 +20,7 @@ across runs.
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 from math import factorial
 
@@ -418,14 +419,20 @@ CHECKS = (
 )
 
 
-def run_checks(profile="full"):
+def run_checks(profile="full", on_timing=None):
+    """Run every check under the profile.  on_timing, if given, is called
+    with each check's name and wall-clock seconds; times stay out of the
+    report, which is byte-stable."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
     params = PROFILES[profile]
     results = []
     tally = {PASS: 0, FAIL: 0, INCONCLUSIVE: 0}
     for name, fn in CHECKS:
+        started = time.perf_counter()
         status, detail = fn(params)
+        if on_timing is not None:
+            on_timing(name, time.perf_counter() - started)
         tally[status] += 1
         results.append({"name": name, "status": status, "detail": detail})
     return {

@@ -307,6 +307,22 @@ def test_verify_paper_fast(capsys):
     assert all(s == "PASS" for s in statuses.values()), statuses
 
 
+def test_verify_paper_timings(monkeypatch, capsys):
+    checks = (("first", lambda p: ("PASS", {})), ("second", lambda p: ("PASS", {})))
+    monkeypatch.setattr(cli.verify, "CHECKS", checks)
+    outputs = []
+    for flags in ((), ("--timings",), ("--json",), ("--json", "--timings")):
+        assert cli.main(["verify-paper", "--profile", "fast", *flags]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out == outputs[1].out
+    assert outputs[2].out == outputs[3].out
+    assert outputs[0].err == outputs[2].err == ""
+    for captured in (outputs[1], outputs[3]):
+        lines = [line.split() for line in captured.err.splitlines()]
+        assert [name for name, _ in lines] == ["first", "second"]
+        assert all(float(seconds) >= 0 for _, seconds in lines)
+
+
 def test_usage_errors(tmp_path, capsys):
     assert cli.main(["no-such-command"]) == 2
     capsys.readouterr()

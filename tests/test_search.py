@@ -1,5 +1,6 @@
 """Canonical forms, tournament enumeration, the sampler, and the probes."""
 
+import hashlib
 import random
 from itertools import combinations
 from math import factorial
@@ -142,6 +143,43 @@ def test_sampler_properties():
     assert len(walks) > 1
     with pytest.raises(ValueError):
         random_semi_regular(2)
+
+
+# Seeded realisations of the walk, committed so that a rewrite that
+# changes the samples (while keeping them semi-regular) fails here.
+PINNED_WALKS = {
+    (3, 0): (2, 4, 1),
+    (3, "probe:21:7"): (2, 4, 1),
+    (4, 0): (12, 9, 2, 4),
+    (4, "probe:21:7"): (12, 9, 2, 4),
+    (9, 0): (456, 29, 113, 180, 353, 323, 394, 54, 142),
+    (9, "probe:21:7"): (424, 305, 291, 102, 77, 464, 135, 30, 216),
+    (10, 0): (110, 484, 936, 914, 647, 216, 284, 833, 561, 99),
+    (10, "probe:21:7"): (794, 496, 587, 242, 868, 645, 417, 277, 556, 202),
+}
+# sha256 of the out-rows written in decimal and joined by commas
+PINNED_WALK_DIGESTS = {
+    (17, 0): "94f6c4863703b76a009d40d3127a1e2d9fa87d9d6779e6069fc066d7e06456f5",
+    (17, "probe:21:7"): "2c390d1605b76bbd468a58cb93a407f4ed935d8056e0d7e47c40046565c8388d",
+    (31, 0): "56433aa59e930f003bc83e102b6412df4780a5f3d2f31834c82683cfe7e1a097",
+    (31, "probe:21:7"): "b1ade6bb456d47d1e884a11a6896d50e9018c0882b184725a3394f0276b51879",
+}
+
+
+def test_sampler_realisations_are_pinned():
+    for (n, seed), rows in PINNED_WALKS.items():
+        assert random_semi_regular(n, seed).out_rows == rows, (n, seed)
+    for (n, seed), digest in PINNED_WALK_DIGESTS.items():
+        text = ",".join(map(str, random_semi_regular(n, seed).out_rows))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, seed)
+
+
+def test_sampler_moves_per_pair():
+    start = semi_regular_tournament(9)
+    assert random_semi_regular(9, seed=1, moves_per_pair=0) == start
+    for bad in (0.5, -1, 1.0, "2", True):
+        with pytest.raises(ValueError):
+            random_semi_regular(9, seed=1, moves_per_pair=bad)
 
 
 def test_sampler_class_frequencies_at_7():
