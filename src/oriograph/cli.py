@@ -427,12 +427,19 @@ def _positive_int(text):
     return value
 
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser():
     # each subcommand takes only the flags it reads
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a single JSON document on stdout")
     budgeted = argparse.ArgumentParser(add_help=False)
-    budgeted.add_argument("--budget", type=int, default=None, help="search node budget")
+    budgeted.add_argument("--budget", type=_non_negative_int, default=None, help="search node budget")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", default="0", help="seed for randomized search")
 

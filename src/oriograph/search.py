@@ -6,8 +6,10 @@ of its adjacency over all vertex relabellings.  Serialization order is
 the staircase one, vertex k contributing the bit pairs (p_i -> p_k,
 p_k -> p_i) for i < k.  Chunk k (the pairs vertex k contributes)
 outranks every later chunk, so the minimization runs level by level over
-partial relabellings: extend every surviving prefix by every unused
-vertex and keep only the extensions whose new chunk is the least.
+partial relabellings, keeping the extensions whose new chunk is least.
+Refinement (after McKay 1981) finds them: each placed vertex narrows a
+prefix's free vertices to those non-adjacent to it (digit 0), else those
+beating it (1), else those it beats (2); O(k) mask steps, not O(n·k).
 
 Regular tournaments are enumerated by orienting the upper-triangle pairs
 in lexicographic order under running out-degree bounds, with vertex 0
@@ -70,36 +72,49 @@ def _canonical_perm_and_form(graph):
     """A minimizing permutation, the form, and the number of prefixes kept.
 
     Level k holds every prefix p_0..p_(k-1) whose chunks are the least
-    first k chunks of any relabelling.  Each is extended by every unused
-    vertex, and only the extensions with the least chunk k are kept.  In
-    the staircase order chunk k outranks all later chunks, so this drops
-    no prefix of a minimizing relabelling, and every prefix left after n
-    levels is one.  The count is the sum of the level sizes.
+    first k chunks of any relabelling.  Chunk k has one digit per placed u:
+    0 if the new vertex and u are non-adjacent, 1 if it beats u, 2 if u
+    beats it.  Refining the free mask by each u in turn to the candidates
+    of least digit leaves exactly the vertices that give the prefix its
+    least chunk.  Prefixes reaching the level's least chunk are extended by
+    those vertices in ascending order.  Chunk k outranks all later chunks,
+    so no prefix of a minimizing relabelling is dropped, and every prefix
+    left after n levels is one.  A level of L prefixes costs O(L·k) mask
+    steps, not O(L·n·k).  The count is the sum of the level sizes.
     """
     n = graph.n
     if n == 0:
         return (), (0, 0), 0
-    rows = graph.out_rows
-    # pair[u][v]: the bit pair (u -> v, v -> u) that v adds after u
-    pair = [[(rows[u] >> v & 1) << 1 | rows[v] >> u & 1 for v in range(n)] for u in range(n)]
-    level = [((v,), 1 << v) for v in range(n)]
+    out_rows, in_rows = graph.out_rows, graph.in_rows
+    loose = [~(o | i) for o, i in zip(out_rows, in_rows)]
+    level = [((v,), ((1 << n) - 1) ^ 1 << v) for v in range(n)]  # (prefix, free mask)
     kept = n
     value = 0
     for k in range(1, n):
-        least = survivors = None
-        for perm, used in level:
-            for v in range(n):
-                if used >> v & 1:
-                    continue
-                chunk = 0
-                for u in perm:
-                    chunk = chunk << 2 | pair[u][v]
-                if least is None or chunk < least:
+        least = 1 << 2 * k  # above every chunk of k digits
+        for perm, free in level:
+            chunk = 0
+            reach = free
+            for u in perm:
+                if split := reach & loose[u]:
+                    chunk <<= 2
+                elif split := reach & in_rows[u]:
+                    chunk = chunk << 2 | 1
+                else:
+                    split = reach & out_rows[u]
+                    chunk = chunk << 2 | 2
+                reach = split
+            if chunk <= least:
+                if chunk < least:
                     least = chunk
-                    survivors = []
-                if chunk == least:
-                    survivors.append((perm + (v,), used | 1 << v))
-        level = survivors
+                    best = []
+                best.append((perm, free, reach))
+        level = []
+        for perm, free, reach in best:
+            while reach:
+                low = reach & -reach
+                reach ^= low
+                level.append((perm + (low.bit_length() - 1,), free ^ low))
         kept += len(level)
         value = value << (2 * k) | least
     return level[0][0], (n, value), kept

@@ -359,6 +359,14 @@ def test_usage_errors(tmp_path, capsys):
         assert cli.main([*probe, "--samples", samples]) == 2
         assert cli.main(["search", "tile-probe", "--pattern", str(s), "--n", "10", "--samples", samples]) == 2
     capsys.readouterr()
+    # a negative node budget is a usage error; a budget of 0 runs out at once
+    tr10 = tmp_path / "tr10.dg"
+    assert cli.main(["generate", "transitive", "10", "-o", str(tr10)]) == 0
+    for command, host in (("embed", t7), ("tile", tr10)):
+        argv = [command, "--pattern", str(s), "--host", str(host), "--budget"]
+        assert cli.main([*argv, "-1"]) == 2
+        assert cli.main([*argv, "0"]) == 3
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -52,6 +52,10 @@ def test_canonical_form_matches_bruteforce():
     regular = (rotational(7, [1, 2, 4]), *enumerate_regular_tournaments(7))
     sevens += [shuffled(rng, g) for g in regular]
     sevens.append(OrientedGraph(7, [(0, 1), (0, 2), (0, 3), (4, 0), (5, 0)]))
+    # and oriented graphs with non-edges, where a placed vertex splits the
+    # candidates three ways
+    sevens += [random_oriented(rng, 7) for _ in range(6)]
+    assert all(g.edge_count < 21 for g in sevens[-6:])
     for trial, g in enumerate(sevens):
         assert canonical_form(g) == oracles.canonical_form(g), trial
 
@@ -77,6 +81,23 @@ def test_canonical_search_work_count():
     _, _, qr7 = _canonical_perm_and_form(rotational(7, [1, 2, 4]))
     _, _, regular9 = _canonical_perm_and_form(random_semi_regular(9, seed="c9:0"))
     assert (qr7, regular9) == (133, 125)
+
+
+def canonical_digest(graphs):
+    text = ";".join(f"{n},{value},{kept}" for _, (n, value), kept in map(_canonical_perm_and_form, graphs))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_canonical_outputs_are_pinned():
+    # (form, kept) past the oracle's reach, recorded before the level loop
+    # became a bitmask refinement: regular 11-vertex hosts, and oriented
+    # graphs with non-edges on 9 and 10 vertices
+    semi = [random_semi_regular(11, seed=f"c11:{i}") for i in range(30)]
+    rng = random.Random("canon-sparse")
+    sparse = [random_oriented(rng, rng.choice((9, 10))) for _ in range(20)]
+    assert all(g.edge_count < g.n * (g.n - 1) // 2 for g in sparse)
+    assert canonical_digest(semi) == "9bf1514e3200b7012d52e71ea48ecf3194f1ae6462816ab5202346a6d15f9c1b"
+    assert canonical_digest(sparse) == "405220c2e7c72ffade3d59bee420f2701b622e04221f0fd19a3592a5db3f1303"
 
 
 def test_canonical_form_is_an_isomorphism_invariant():
