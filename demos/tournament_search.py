@@ -33,7 +33,7 @@ for n in (3, 5, 7):
 forms = {canonical_form(g) for g in enumerate_regular_tournaments(7)}
 print("distinct canonical forms at n=7:", len(forms))
 
-# Beyond n=9 we sample: triangle-swap walks preserve all degrees, so a
+# Beyond n=11 we sample: triangle-swap walks preserve all degrees, so a
 # seeded walk from a rotational start stays semi-regular forever.
 g = random_semi_regular(17, seed=42)
 print("sampled n=17:", g.classify())

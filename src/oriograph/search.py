@@ -11,12 +11,12 @@ Refinement (after McKay 1981) finds them: each placed vertex narrows a
 prefix's free vertices to those non-adjacent to it (digit 0), else those
 beating it (1), else those it beats (2); O(k) mask steps, not O(n·k).
 
-Regular tournaments are enumerated by orienting the upper-triangle pairs
-in lexicographic order under running out-degree bounds, with vertex 0
-beating exactly 1..(n-1)/2 (every regular tournament can be relabelled
-that way).  Leaves are deduplicated by canonical form, the only
-isomorphism test, and the canonical representatives returned in sorted
-order of their forms.
+Regular tournaments are enumerated as a closure under cyclic-triangle
+reversal, which keeps every score and connects all tournaments of one
+score vector (Brualdi and Li): from one regular tournament, each class
+found has each of its cyclic triangles reversed once, and the results
+are keyed by canonical form, the only isomorphism test.  The canonical
+representatives are returned in sorted order of their forms.
 
 Random semi-regular tournaments come from the 3-cycle reversal walk of
 Brualdi and Li (analysed by Kannan, Tetali and Vempala): starting from the
@@ -42,7 +42,7 @@ import math
 import random
 from itertools import repeat
 
-from .core import OrientedGraph, serialize
+from .core import OrientedGraph, bits, serialize
 from .embed import find_embedding
 from .errors import BudgetExceededError
 from .generators import semi_regular_tournament
@@ -123,47 +123,37 @@ def _canonical_perm_and_form(graph):
 def enumerate_regular_tournaments(n):
     """All regular tournaments on n vertices up to isomorphism, as canonical
     representatives in sorted order of their canonical forms.  n must be
-    odd and at most 9.
+    odd and at most 11.
 
-    Vertex 0 is made to beat exactly 1..(n-1)/2.  This loses no class:
-    relabel any vertex of a regular tournament as 0 and its (n-1)/2
-    out-neighbours as 1..(n-1)/2."""
+    Reversing a cyclic triangle keeps every score, and any two tournaments
+    with the same score vector are joined by a sequence of such reversals
+    (Brualdi and Li 1984).  So the classes reachable from the regular
+    semi_regular_tournament(n), reversing each cyclic triangle of each
+    class found, are all of them.  Each triangle is taken once, as
+    u -> v -> w -> u with u its least vertex."""
     if n < 1 or n % 2 == 0:
         raise ValueError("regular tournaments need odd n")
-    if n > 9:
-        raise ValueError("enumeration is capped at n = 9")
-    target = (n - 1) // 2
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = [0] * n
-    undecided = [n - 1] * n  # pairs not yet oriented per vertex
-    orient = [None] * len(pairs)
-    classes = {}  # canonical form -> first leaf with that form
-
-    def place(idx):
-        if idx == len(pairs):
-            g = OrientedGraph(n, orient)
-            classes.setdefault(canonical_form(g), g)
-            return
-        i, j = pairs[idx]
-        undecided[i] -= 1
-        undecided[j] -= 1
-        for winner, loser in ((i, j), (j, i)):
-            if i == 0 and (winner == 0) != (j <= target):
-                continue
-            if out[winner] < target and out[loser] + undecided[loser] >= target:
-                orient[idx] = (winner, loser)
-                out[winner] += 1
-                place(idx + 1)
-                out[winner] -= 1
-        undecided[i] += 1
-        undecided[j] += 1
-
-    try:
-        place(0)
-    finally:
-        # the recursive closure is a reference cycle that would keep
-        # classes alive until the next full garbage collection
-        del place
+    if n > 11:
+        raise ValueError("enumeration is capped at n = 11")
+    start = semi_regular_tournament(n)
+    classes = {canonical_form(start): start}  # canonical form -> first graph reached
+    frontier = [start]
+    while frontier:
+        g = frontier.pop()
+        out, into = g.out_rows, g.in_rows
+        for u in range(n):
+            above = -2 << u  # the vertices above u
+            for v in bits(out[u] & above):
+                for w in bits(out[v] & into[u] & above):
+                    rows = list(out)
+                    rows[u] ^= 1 << v | 1 << w
+                    rows[v] ^= 1 << w | 1 << u
+                    rows[w] ^= 1 << u | 1 << v
+                    h = OrientedGraph.from_out_rows(n, rows)
+                    form = canonical_form(h)
+                    if form not in classes:
+                        classes[form] = h
+                        frontier.append(h)
     return [canonical_graph(classes[form]) for form in sorted(classes)]
 
 
@@ -259,7 +249,7 @@ def random_semi_regular(n, seed=0, moves_per_pair=50):
 def turanability_probe(pattern, sizes, mode="exhaustive", samples=100, seed=0, budget=None):
     """Evidence report: which tournaments of the given sizes contain the pattern.
 
-    mode "exhaustive" runs over every regular-tournament class (odd n <= 9);
+    mode "exhaustive" runs over every regular-tournament class (odd n <= 11);
     mode "sample" draws seeded semi-regular tournaments.  Findings are finite
     evidence only; nothing is claimed beyond the sizes listed.
     """

@@ -306,12 +306,13 @@ def perfect_tiling(pattern, host, partition=None, budget=None):
 def verify_tiling(pattern, host, tiling):
     """Is the tiling perfect: pairwise disjoint blocks of the pattern's order
     that cover every host vertex, each containing a copy of the pattern?"""
+    vertices = set(range(host.n))
     seen = set()
     for copy in tiling.copies:
         block = set(copy)
-        if len(block) != pattern.n or block & seen:
+        if len(block) != pattern.n or block & seen or not block <= vertices:
             return False
         seen |= block
         if find_embedding(pattern, host.induced(block)) is None:
             return False
-    return seen == set(range(host.n))
+    return seen == vertices

@@ -355,7 +355,7 @@ def check_s_in_small_tournaments(p, seed="probe"):
     s_graph = generators.graph_s()
     exhaustive_ok = True
     detail = {}
-    for n in (5, 7):
+    for n in (5, 7, 9):
         reps = search.enumerate_regular_tournaments(n)
         hits = sum(1 for g in reps if embed.find_embedding(s_graph, g, budget=p["budget"]))
         detail[f"exhaustive n={n}"] = {"containing": hits, "classes": len(reps)}

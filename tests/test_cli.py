@@ -337,6 +337,9 @@ def test_usage_errors(tmp_path, capsys):
     assert cli.main(["generate", "s", "--seed", "1"]) == 2
     assert cli.main(["search", "enumerate-rt", "--n", "5", "--budget", "1"]) == 2
     capsys.readouterr()
+    # past the enumeration cap: a usage error, not a traceback
+    assert cli.main(["search", "enumerate-rt", "--n", "13"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
     # analyze reads --parts, --seed and --gamma only with --stats extremal
     t7 = tmp_path / "t7.dg"
     assert cli.main(["generate", "rotational", "7", "1,2,4", "-o", str(t7)]) == 0

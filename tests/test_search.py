@@ -7,7 +7,8 @@ from math import factorial
 
 import pytest
 
-from oriograph.core import OrientedGraph, isomorphic_brute
+from oriograph.core import OrientedGraph, isomorphic_brute, serialize
+from oriograph.embed import count_embeddings, find_embedding
 from oriograph.generators import d_abc, f_r, graph_s, rotational, semi_regular_tournament
 from oriograph import oracles
 from oriograph.oracles import random_oriented, random_tournament
@@ -122,18 +123,21 @@ def test_canonical_graph_is_canonical():
 
 
 def test_enumeration_counts():
-    expected = {3: 1, 5: 1, 7: 3}
+    expected = {3: 1, 5: 1, 7: 3, 9: 15}
     for n, classes in expected.items():
         reps = enumerate_regular_tournaments(n)
         assert len(reps) == classes
         for g in reps:
             assert g.classify().is_regular
         for a, b in combinations(reps, 2):
-            assert not isomorphic_brute(a, b)
+            # brute force walks 9! relabellings a pair at n = 9; between
+            # tournaments of one order an embedding is an isomorphism
+            assert n == 9 or not isomorphic_brute(a, b)
+            assert find_embedding(a, b) is None
     with pytest.raises(ValueError):
         enumerate_regular_tournaments(4)
     with pytest.raises(ValueError):
-        enumerate_regular_tournaments(11)
+        enumerate_regular_tournaments(13)
 
 
 def test_labeled_enumeration_oracle():
@@ -144,12 +148,23 @@ def test_labeled_enumeration_oracle():
         assert sum(factorial(n) // oracles.automorphisms(g) for g in reps) == labeled
     with pytest.raises(ValueError):
         oracles.labeled_regular_tournaments(4)
+    # at 9 vertices the oracles walk too long (9! relabellings for Aut, a
+    # labelled-leaf count for the total), so |Aut| is the number of
+    # self-embeddings and the total is OEIS A007079
+    reps = enumerate_regular_tournaments(9)
+    assert sum(factorial(9) // count_embeddings(g, g) for g in reps) == 3_230_080
 
 
 def test_enumeration_is_deterministic():
     # committed forms, so that drift between versions fails too
     forms = [canonical_form(g) for g in enumerate_regular_tournaments(7)]
     assert forms == [(7, 0x15565695A95), (7, 0x15566695A59), (7, 0x15665A65A59)]
+    # the 15 classes on 9 vertices, serialized and concatenated, pinned
+    # from an independent enumeration by labelled-leaf backtracking
+    text = "".join(serialize(g) for g in enumerate_regular_tournaments(9))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "343bb9d038f600ee3c088e1db804f9336bca0aa23a00c0ae5566d565eb034a30"
+    )
 
 
 def test_sampler_properties():

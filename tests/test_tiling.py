@@ -257,6 +257,9 @@ def test_verify_tiling_rejects_partial_and_garbage():
     assert not verify_tiling(triangle, host, Tiling(copies=((0, 2, 4), (0, 3, 5))))
     # disjoint copies that leave vertices uncovered are no perfect tiling
     assert not verify_tiling(triangle, host, Tiling(copies=((0, 2, 4),)))
+    # a copy naming a vertex outside the host is no tiling, not an error
+    for bad in ((0, 1, 5), (0, 1, -1)):
+        assert not verify_tiling(triangle, base, Tiling(copies=(bad,)))
 
 
 def test_partition_of_another_vertex_set_is_refused_before_any_search():
