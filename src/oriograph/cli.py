@@ -329,7 +329,10 @@ def cmd_analyze(args):
 # search
 
 def _parse_sizes(text):
-    return [int(x) for x in text.split(",") if x]
+    sizes = [int(x) for x in text.split(",") if x]
+    if not sizes:
+        raise ValueError(f"--n lists no size: {text!r}")
+    return sizes
 
 
 def cmd_search(args):

@@ -3,9 +3,11 @@
 Each oracle enumerates vertex tuples with itertools.permutations and
 combinations and reads graphs only through has_edge and edges(), so it
 shares no code with the kernels in embed, tiling, search or analysis and
-cannot vouch for them; the count of labeled regular tournaments reads no
-graph at all.  They are exponential and meant for instances of at most
-a dozen vertices.
+cannot vouch for them.  They are exponential and meant for instances of
+at most a dozen vertices.  The two counts of labeled regular tournaments
+read no graph at all: the exponential leaf count checks the dynamic
+program at small n, and the dynamic program reaches n = 11 in
+milliseconds.
 
 The random-graph helpers draw every pair in a fixed order from the
 caller's random.Random, so a seeded stream of instances is reproducible.
@@ -13,7 +15,9 @@ caller's random.Random, so a seeded stream of instances is reproducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations, product
+from math import comb, prod
 
 from .core import OrientedGraph
 
@@ -137,6 +141,41 @@ def labeled_regular_tournaments(n):
         return total
 
     return count(0)
+
+
+def labeled_regular_dp(n):
+    """The number of regular tournaments on the vertex set 0..n-1, deciding
+    one vertex's remaining games at a time.  The state is the sorted
+    multiset of wins each undecided vertex still needs.  The vertex needing
+    fewest, r, beats r of the others and loses to the rest, each of which
+    then needs one win fewer; the others are grouped by need, and picking b
+    of a group of c to beat counts C(c, b) ways.  States are memoised for
+    the one call."""
+    if n < 1 or n % 2 == 0:
+        raise ValueError("regular tournaments need odd n")
+    memo = {}
+
+    def count(needs):
+        if not needs:
+            return 1
+        if needs in memo:
+            return memo[needs]
+        r, rest = needs[0], needs[1:]
+        groups = sorted(Counter(rest).items())
+        total = 0
+        for beaten in product(*(range(c + 1) for _, c in groups)):
+            # an opponent that needs no more wins cannot beat the vertex
+            if sum(beaten) != r or any(need == 0 and b < c for (need, c), b in zip(groups, beaten)):
+                continue
+            left = []
+            for (need, c), b in zip(groups, beaten):
+                left += [need] * b + [need - 1] * (c - b)
+            weight = prod(comb(c, b) for (_, c), b in zip(groups, beaten))
+            total += weight * count(tuple(sorted(left)))
+        memo[needs] = total
+        return total
+
+    return count(((n - 1) // 2,) * n)
 
 
 def random_oriented(rng, n, density=2 / 3):

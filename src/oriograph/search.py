@@ -11,12 +11,25 @@ Refinement (after McKay 1981) finds them: each placed vertex narrows a
 prefix's free vertices to those non-adjacent to it (digit 0), else those
 beating it (1), else those it beats (2); O(k) mask steps, not O(n·k).
 
+The level search keeps every minimizing relabelling, and any two of them,
+p0 and p, give the same relabelled graph, so sigma sending p0[k] to p[k]
+for each k is an automorphism; conversely every automorphism composed
+with p0 minimizes.  So the minimizers form one coset of Aut(g), and the
+search that computes a form also yields Aut(g) at no extra cost.
+
 Regular tournaments are enumerated as a closure under cyclic-triangle
 reversal, which keeps every score and connects all tournaments of one
 score vector (Brualdi and Li): from one regular tournament, each class
-found has each of its cyclic triangles reversed once, and the results
-are keyed by canonical form, the only isomorphism test.  The canonical
-representatives are returned in sorted order of their forms.
+found has one cyclic triangle per Aut-orbit reversed, and the results
+are keyed by canonical form, the only isomorphism test.  Reversing
+sigma(T) gives sigma applied to the result of reversing T, an isomorphic
+graph, so the rest of T's orbit adds no class (the orbit pruning of
+McKay's orderly generation).  Aut comes from the canonical search that
+found the class, and the representative is relabelled by the minimizer
+that search returned, so each call runs 1 + (sum over classes of the
+Aut-orbits on its cyclic triangles) canonical searches: 2, 11 and 281 at
+n = 5, 7 and 9.  The canonical representatives are returned in sorted
+order of their forms.
 
 Random semi-regular tournaments come from the 3-cycle reversal walk of
 Brualdi and Li (analysed by Kannan, Tetali and Vempala): starting from the
@@ -59,8 +72,12 @@ def canonical_form(graph):
 def canonical_graph(graph):
     """The canonical representative: the graph relabelled by a minimizing
     permutation, so isomorphic graphs map to equal graphs."""
-    perm, _, _ = _canonical_perm_and_form(graph)
-    # perm[k] = original vertex placed at position k
+    perms, _, _ = _canonical_perm_and_form(graph)
+    return _relabelled(graph, perms[0])
+
+
+def _relabelled(graph, perm):
+    """The graph with vertex perm[k] renamed k."""
     inverse = [0] * graph.n
     for spot, v in enumerate(perm):
         inverse[v] = spot
@@ -69,7 +86,10 @@ def canonical_graph(graph):
 
 
 def _canonical_perm_and_form(graph):
-    """A minimizing permutation, the form, and the number of prefixes kept.
+    """Every minimizing permutation, the form, and the number of prefixes
+    kept.  perm[k] is the vertex placed at position k; the first
+    permutation is the one canonical_graph relabels by, and there are
+    |Aut(graph)| of them (see the module docstring).
 
     Level k holds every prefix p_0..p_(k-1) whose chunks are the least
     first k chunks of any relabelling.  Chunk k has one digit per placed u:
@@ -79,12 +99,13 @@ def _canonical_perm_and_form(graph):
     least chunk.  Prefixes reaching the level's least chunk are extended by
     those vertices in ascending order.  Chunk k outranks all later chunks,
     so no prefix of a minimizing relabelling is dropped, and every prefix
-    left after n levels is one.  A level of L prefixes costs O(L·k) mask
-    steps, not O(L·n·k).  The count is the sum of the level sizes.
+    left after n levels is one: all of them are returned.  A level of L
+    prefixes costs O(L·k) mask steps, not O(L·n·k).  The count is the sum
+    of the level sizes.
     """
     n = graph.n
     if n == 0:
-        return (), (0, 0), 0
+        return [()], (0, 0), 0
     out_rows, in_rows = graph.out_rows, graph.in_rows
     loose = [~(o | i) for o, i in zip(out_rows, in_rows)]
     level = [((v,), ((1 << n) - 1) ^ 1 << v) for v in range(n)]  # (prefix, free mask)
@@ -117,7 +138,7 @@ def _canonical_perm_and_form(graph):
                 level.append((perm + (low.bit_length() - 1,), free ^ low))
         kept += len(level)
         value = value << (2 * k) | least
-    return level[0][0], (n, value), kept
+    return [perm for perm, _ in level], (n, value), kept
 
 
 def enumerate_regular_tournaments(n):
@@ -128,33 +149,53 @@ def enumerate_regular_tournaments(n):
     Reversing a cyclic triangle keeps every score, and any two tournaments
     with the same score vector are joined by a sequence of such reversals
     (Brualdi and Li 1984).  So the classes reachable from the regular
-    semi_regular_tournament(n), reversing each cyclic triangle of each
-    class found, are all of them.  Each triangle is taken once, as
-    u -> v -> w -> u with u its least vertex."""
+    semi_regular_tournament(n), reversing the cyclic triangles of each
+    class found, are all of them.  A class's triangles are taken as
+    u -> v -> w -> u with u its least vertex, in order, skipping those in
+    the Aut-orbit of a triangle already reversed: Aut(g) is
+    {sigma : sigma(p0[k]) = p[k]} over the minimizers p0, p, ... that the
+    canonical search returned when g was found.  Each class keeps the
+    minimizer p0 it was found with, and its representative is g
+    relabelled by p0."""
     if n < 1 or n % 2 == 0:
         raise ValueError("regular tournaments need odd n")
     if n > 11:
         raise ValueError("enumeration is capped at n = 11")
     start = semi_regular_tournament(n)
-    classes = {canonical_form(start): start}  # canonical form -> first graph reached
-    frontier = [start]
+    perms, form, _ = _canonical_perm_and_form(start)
+    classes = {form: (start, perms[0])}  # canonical form -> first graph reached, its minimizer
+    frontier = [(start, perms)]
     while frontier:
-        g = frontier.pop()
+        g, perms = frontier.pop()
+        first = perms[0]
+        automorphisms = []  # all but the identity
+        for p in perms[1:]:
+            sigma = [0] * n
+            for a, b in zip(first, p):
+                sigma[a] = b
+            automorphisms.append(sigma)
+        done = set()  # triangles, as vertex masks, in the orbit of one reversed
         out, into = g.out_rows, g.in_rows
         for u in range(n):
             above = -2 << u  # the vertices above u
             for v in bits(out[u] & above):
                 for w in bits(out[v] & into[u] & above):
+                    if automorphisms:
+                        if (1 << u | 1 << v | 1 << w) in done:
+                            continue
+                        done.update(
+                            1 << sigma[u] | 1 << sigma[v] | 1 << sigma[w] for sigma in automorphisms
+                        )
                     rows = list(out)
                     rows[u] ^= 1 << v | 1 << w
                     rows[v] ^= 1 << w | 1 << u
                     rows[w] ^= 1 << u | 1 << v
                     h = OrientedGraph.from_out_rows(n, rows)
-                    form = canonical_form(h)
+                    found, form, _ = _canonical_perm_and_form(h)
                     if form not in classes:
-                        classes[form] = h
-                        frontier.append(h)
-    return [canonical_graph(classes[form]) for form in sorted(classes)]
+                        classes[form] = (h, found[0])
+                        frontier.append((h, found))
+    return [_relabelled(*classes[form]) for form in sorted(classes)]
 
 
 def random_semi_regular(n, seed=0, moves_per_pair=50):

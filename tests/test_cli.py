@@ -362,6 +362,11 @@ def test_usage_errors(tmp_path, capsys):
         assert cli.main([*probe, "--samples", samples]) == 2
         assert cli.main(["search", "tile-probe", "--pattern", str(s), "--n", "10", "--samples", samples]) == 2
     capsys.readouterr()
+    # a size list with no size checks nothing: a usage error, not a pass
+    for sizes in (",", ""):
+        assert cli.main(["search", "probe", "--pattern", str(s), "--n", sizes]) == 2
+        assert cli.main(["search", "tile-probe", "--pattern", str(s), "--n", sizes]) == 2
+    assert "Traceback" not in capsys.readouterr().err
     # a negative node budget is a usage error; a budget of 0 runs out at once
     tr10 = tmp_path / "tr10.dg"
     assert cli.main(["generate", "transitive", "10", "-o", str(tr10)]) == 0

@@ -10,7 +10,7 @@ import pytest
 from oriograph.core import OrientedGraph, isomorphic_brute, serialize
 from oriograph.embed import count_embeddings, find_embedding
 from oriograph.generators import d_abc, f_r, graph_s, rotational, semi_regular_tournament
-from oriograph import oracles
+from oriograph import oracles, search
 from oriograph.oracles import random_oriented, random_tournament
 from oriograph.search import (
     _canonical_perm_and_form,
@@ -84,6 +84,45 @@ def test_canonical_search_work_count():
     assert (qr7, regular9) == (133, 125)
 
 
+def test_minimizers_are_the_automorphism_coset():
+    # sigma sending the first minimizer to each one is an automorphism, and
+    # there are |Aut| minimizers
+    rng = random.Random("aut")
+    graphs = [*enumerate_regular_tournaments(5), *enumerate_regular_tournaments(7)]
+    graphs.append(rotational(7, [1, 2, 4]))  # QR7, |Aut| 21
+    graphs.append(OrientedGraph(7, [(0, 1), (0, 2), (0, 3), (4, 0), (5, 0)]))  # twins, |Aut| 12
+    graphs += [random_tournament(rng, rng.randrange(1, 8)) for _ in range(12)]
+    graphs += [random_oriented(rng, rng.randrange(1, 8)) for _ in range(12)]
+    for trial, g in enumerate(graphs):
+        perms, _, _ = _canonical_perm_and_form(g)
+        assert len(perms) == oracles.automorphisms(g), trial
+        for p in perms:
+            sigma = dict(zip(perms[0], p))
+            assert all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges()), trial
+    # past the oracle's reach, |Aut| is the number of self-embeddings
+    nine = enumerate_regular_tournaments(9)
+    auts = [len(_canonical_perm_and_form(g)[0]) for g in nine]
+    assert auts == [count_embeddings(g, g) for g in nine]
+    assert auts == [9, 1, 1, 1, 3, 1, 3, 3, 1, 1, 3, 81, 1, 9, 3]
+
+
+def test_closure_work_count(monkeypatch):
+    # one canonical search for the start, then one per Aut-orbit of cyclic
+    # triangles in each class; reversing every triangle, then searching
+    # again for each representative, took 7, 46 and 466
+    inner = search._canonical_perm_and_form
+    calls = []
+
+    def counted(graph):
+        calls.append(graph.n)
+        return inner(graph)
+
+    monkeypatch.setattr(search, "_canonical_perm_and_form", counted)
+    for n in (5, 7, 9):
+        enumerate_regular_tournaments(n)
+    assert [calls.count(n) for n in (5, 7, 9)] == [2, 11, 281]
+
+
 def canonical_digest(graphs):
     text = ";".join(f"{n},{value},{kept}" for _, (n, value), kept in map(_canonical_perm_and_form, graphs))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -148,11 +187,18 @@ def test_labeled_enumeration_oracle():
         assert sum(factorial(n) // oracles.automorphisms(g) for g in reps) == labeled
     with pytest.raises(ValueError):
         oracles.labeled_regular_tournaments(4)
-    # at 9 vertices the oracles walk too long (9! relabellings for Aut, a
-    # labelled-leaf count for the total), so |Aut| is the number of
-    # self-embeddings and the total is OEIS A007079
+    # the dynamic program over needed wins agrees with the leaf count, and
+    # with OEIS A007079 past its reach
+    for n in (1, 3, 5, 7):
+        assert oracles.labeled_regular_dp(n) == oracles.labeled_regular_tournaments(n)
+    assert oracles.labeled_regular_dp(9) == 3_230_080
+    assert oracles.labeled_regular_dp(11) == 48_251_508_480
+    with pytest.raises(ValueError):
+        oracles.labeled_regular_dp(4)
+    # at 9 vertices 9! relabellings a class are too many for the Aut
+    # oracle, so |Aut| is the number of self-embeddings
     reps = enumerate_regular_tournaments(9)
-    assert sum(factorial(9) // count_embeddings(g, g) for g in reps) == 3_230_080
+    assert sum(factorial(9) // count_embeddings(g, g) for g in reps) == oracles.labeled_regular_dp(9)
 
 
 def test_enumeration_is_deterministic():
