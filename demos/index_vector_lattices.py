@@ -38,7 +38,7 @@ print("lattice refutes a perfect tiling:", verdict.refutes,
       "- target", verdict.target, "modulus", verdict.modulus)
 
 # The same machinery, standalone: a subgroup of (Z_6)^3 from seven
-# generators, membership by breadth-first closure.
+# generators, membership by Hermite normal form.
 gens = ((2, 2, 2), (4, 1, 1), (1, 4, 1), (1, 1, 4), (3, 3, 0), (3, 0, 3), (0, 3, 3))
 lat = residue_lattice(gens, 6, 3)
 print("lattice size:", len(lat))

@@ -148,7 +148,9 @@ def find_extremal_partition(graph, gamma, seed=0):
     Each restart shuffles the vertices into three near-equal parts, then
     runs steepest-descent single-vertex moves minimizing the reverse-edge
     total subject to the size window, and finally checks the result.
-    Returns the first passing partition, or None after RESTARTS restarts.
+    Returns the first passing partition, or None after RESTARTS restarts;
+    None rules no partition out (`oracles.extremal_partition` is the
+    exhaustive search, for small n).
     """
     _check_gamma(gamma)
     n = graph.n

@@ -7,12 +7,13 @@ built-in claim checklist.
 
 Exit codes: 0 success / found / verified, 1 not found / refuted,
 2 usage or I/O error or a resource cap hit, 3 search gave up on its node
-budget.  Inputs are checked where they are read, before any search, so
-a --parts file that does not cover exactly the host's vertices 0..n-1
-exits 2 whatever the budget and the orders.  `lattice --target` refutes
-(exit 1) only at --threshold 1, where the lattice is built from every
-copy vector.  With --json a single JSON document (sorted keys) goes to
-stdout; logs go to stderr.
+budget, or `analyze --stats extremal` found no partition by local search
+(a heuristic miss, not a refutation).  Inputs are checked where they are
+read, before any search, so a --parts file that does not cover exactly
+the host's vertices 0..n-1 exits 2 whatever the budget and the orders.
+`lattice --target` refutes (exit 1) only at --threshold 1, where the
+lattice is built from every copy vector.  With --json a single JSON
+document (sorted keys) goes to stdout; logs go to stderr.
 """
 
 from __future__ import annotations
@@ -225,7 +226,7 @@ def cmd_lattice(args):
         target = tuple(int(x) for x in args.target.split(","))
         if len(target) != partition.d:
             raise ValueError(f"--target needs {partition.d} comma-separated entries")
-        verdict = lat.contains(tuple(t % modulus for t in target))
+        verdict = target in lat
         doc["target"] = list(target)
         doc["target_in_lattice"] = verdict
 
@@ -261,9 +262,14 @@ def cmd_analyze(args):
         if partition is None:
             partition = analysis.find_extremal_partition(host, gamma, seed=seed)
         if partition is None:
-            doc = {"gamma": gamma, "extremal": False, "note": "no partition found by local search"}
-            _emit(args, doc, lambda: print(f"extremal at gamma={gamma}: False (search found no partition)"))
-            return 1
+            # a local-search miss rules no partition out
+            doc = {"gamma": gamma, "extremal": None, "note": "inconclusive: local search found no partition"}
+            _emit(
+                args,
+                doc,
+                lambda: print(f"extremal at gamma={gamma}: inconclusive (local search found no partition)"),
+            )
+            return 3
         verdict = analysis.extremal_check(host, partition, gamma)
         doc = {
             "gamma": gamma,

@@ -31,4 +31,4 @@ class BudgetExceededError(Exception):
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration grew past a hard cap (tiling.EDGE_CAP, lattice.STATE_CAP)."""
+    """Copy enumeration grew past its hard cap, tiling.EDGE_CAP."""

@@ -6,9 +6,18 @@ vertices per part, and a perfect tiling sums copy vectors to the index
 vector of the whole host.  Reducing modulo an integer m (typically
 m = k) turns this into a reachability question in the finite group
 (Z_m)^d: if the host's vector is not in the subgroup generated by the
-achieved copy vectors, no perfect tiling exists.  The subgroup is
-computed by breadth-first closure, which is exact because the group is
-finite.
+achieved copy vectors, no perfect tiling exists.
+
+The subgroup H is kept as a Hermite basis (Kannan & Bachem 1979) of the
+integer lattice L = span(generators) + m Z^d, whose image mod m is H.
+Row j is zero before column j and has a pivot h_j > 0 there; each entry
+above a pivot is reduced into [0, h_j).  The basis comes from Euclid's
+algorithm run one column at a time, starting from m e_j, so every step
+is an integer row operation that keeps L, and h_j divides m.  A full-rank
+lattice has exactly one such basis, so equal subgroups give equal
+records.  A vector lies in L iff reducing it row by row leaves every
+pivot column divisible by its pivot, and |H| = prod(m / h_j) because
+L has index prod(h_j) in Z^d.  No member of H is ever listed.
 
 The module also computes edge-vector statistics of copy hypergraphs
 (which vectors occur, with multiplicities), robust vectors above a count
@@ -23,58 +32,74 @@ Python code runs per copy.
 from __future__ import annotations
 
 from collections import Counter
+from math import prod
 
 from .core import Record
-from .errors import ResourceLimitError
-
-STATE_CAP = 1_000_000
 
 
 class ResidueLattice(Record):
-    """Subgroup of (Z_m)^d generated by the given vectors."""
+    """Subgroup of (Z_m)^d generated by the given vectors, as the d rows of
+    its Hermite basis (see the module docstring)."""
 
-    __slots__ = ("modulus", "dimension", "members")
+    __slots__ = ("modulus", "dimension", "basis")
 
     def contains(self, vector):
         if len(vector) != self.dimension:
             raise ValueError(
                 f"vector has dimension {len(vector)}, lattice has {self.dimension}"
             )
-        return tuple(x % self.modulus for x in vector) in self.members
+        t = list(vector)
+        for j, row in enumerate(self.basis):
+            q, r = divmod(t[j], row[j])
+            if r:
+                return False
+            for k in range(j + 1, self.dimension):
+                t[k] -= q * row[k]
+        return True
 
-    def __contains__(self, vector):
-        return self.contains(vector)
+    __contains__ = contains
 
     def __len__(self):
-        return len(self.members)
+        return prod(self.modulus // row[j] for j, row in enumerate(self.basis))
 
 
 def residue_lattice(generators, modulus, dimension):
-    """Breadth-first closure of {0} under adding generators, modulo m."""
+    """Hermite basis of span(generators) + m Z^d, column by column."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if dimension < 1:
         raise ValueError("dimension must be positive")
-    if modulus**dimension > STATE_CAP:
-        raise ResourceLimitError(
-            f"state space {modulus}^{dimension} exceeds the cap of {STATE_CAP}"
-        )
-    gens = []
+    m = modulus
+    rows = []
     for g in generators:
         if len(g) != dimension:
             raise ValueError(f"generator {g} does not have dimension {dimension}")
-        gens.append(tuple(x % modulus for x in g))
-    zero = (0,) * dimension
-    members = {zero}
-    frontier = [zero]
-    while frontier:
-        v = frontier.pop()
-        for g in gens:
-            w = tuple((a + b) % modulus for a, b in zip(v, g))
-            if w not in members:
-                members.add(w)
-                frontier.append(w)
-    return ResidueLattice(modulus=modulus, dimension=dimension, members=frozenset(members))
+        rows.append([x % m for x in g])
+    basis = []
+    for j in range(dimension):
+        # Euclid on column j: every row left is zero before column j, and
+        # the pivot starts as m e_j and ends as the gcd of the column and m.
+        # Taking the later columns mod m adds multiples of m e_k, which lie
+        # in L; column j stays exact, as pivot[j] - q r[j] = pivot[j] mod r[j] < m.
+        pivot = [0] * dimension
+        pivot[j] = m
+        rest = []
+        for r in rows:
+            while r[j]:
+                q = pivot[j] // r[j]
+                pivot, r = r, [(a - q * b) % m for a, b in zip(pivot, r)]
+            if any(r):
+                rest.append(r)
+        basis.append(pivot)
+        rows = rest
+    for j, row in enumerate(basis):
+        for i in range(j):
+            q = basis[i][j] // row[j]
+            if q:
+                basis[i] = [a - q * b for a, b in zip(basis[i], row)]
+    return ResidueLattice(
+        modulus=m, dimension=dimension, basis=tuple(map(tuple, basis))
+    )
 
 
 class EdgeVectorReport(Record):

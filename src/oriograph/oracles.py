@@ -19,7 +19,7 @@ from collections import Counter
 from itertools import combinations, permutations, product
 from math import comb, prod
 
-from .core import OrientedGraph
+from .core import OrientedGraph, Partition
 
 
 def _preserves(host, edges, image):
@@ -76,6 +76,31 @@ def residue_span(generators, modulus, dimension):
         tuple(sum(column) % modulus for column in zip(*choice))
         for choice in product([(0,) * dimension], *multiples)
     }
+
+
+def extremal_partition(graph, gamma):
+    """A gamma-extremal 3-partition, or None if there is none, by trying
+    every labelling of the vertices with 0, 1, 2 that puts vertex 0 in
+    part 0 (the definition allows any part order).  Each part's size must
+    lie within gamma * n of n/3, and under some order p1, p2, p3 of the
+    parts each of the edge classes p1 -> p3, p3 -> p2 and p2 -> p1 must
+    hold at most gamma * n^2 edges.  3^(n-1) labellings, so n <= 12."""
+    n = graph.n
+    if n > 12:
+        raise ValueError(f"the labelling oracle takes n <= 12, got {n}")
+    lo, hi = (1 / 3 - gamma) * n, (1 / 3 + gamma) * n
+    edges = graph.edges()
+    for rest in product(range(3), repeat=n - 1):
+        labels = (0, *rest)
+        if not all(lo <= labels.count(p) <= hi for p in range(3)):
+            continue
+        cross = Counter((labels[u], labels[v]) for u, v in edges)
+        if any(
+            all(cross[a, b] <= gamma * n * n for a, b in ((p1, p3), (p3, p2), (p2, p1)))
+            for p1, p2, p3 in permutations(range(3))
+        ):
+            return Partition([[v for v in range(n) if labels[v] == p] for p in range(3)])
+    return None
 
 
 def d_copy_counts(graph):

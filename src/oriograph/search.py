@@ -334,6 +334,8 @@ def tileability_probe(pattern, sizes, samples=20, seed=0, budget=None):
     """Evidence report: fraction of sampled semi-regular tournaments with a
     perfect tiling by the pattern.  Sizes not divisible by the pattern
     order are reported as skipped."""
+    if pattern.n == 0:
+        raise ValueError("pattern must have at least one vertex")
     per_n = []
     for n in sizes:
         if n % pattern.n:

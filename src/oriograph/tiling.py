@@ -45,7 +45,7 @@ from __future__ import annotations
 from itertools import repeat
 
 from . import lattice
-from .core import Record, bits
+from .core import Embedding, Record, bits
 from .errors import BudgetExceededError, ResourceLimitError
 from .embed import _plan, _symmetry_conditions, find_embedding
 
@@ -305,7 +305,12 @@ def perfect_tiling(pattern, host, partition=None, budget=None):
 
 def verify_tiling(pattern, host, tiling):
     """Is the tiling perfect: pairwise disjoint blocks of the pattern's order
-    that cover every host vertex, each containing a copy of the pattern?"""
+    that cover every host vertex, each containing a copy of the pattern?
+
+    Each block's copy is searched for on the block relabelled 0..k-1 in
+    ascending order, mapped back to host vertices and then checked edge by
+    edge with `Embedding.verify`, which reads only `has_edge`, so a wrong
+    mapping from the search cannot pass as a copy."""
     vertices = set(range(host.n))
     seen = set()
     for copy in tiling.copies:
@@ -313,6 +318,10 @@ def verify_tiling(pattern, host, tiling):
         if len(block) != pattern.n or block & seen or not block <= vertices:
             return False
         seen |= block
-        if find_embedding(pattern, host.induced(block)) is None:
+        emb = find_embedding(pattern, host.induced(block))
+        ordered = sorted(block)
+        if emb is None or not Embedding(
+            pattern, host, tuple(ordered[v] for v in emb.mapping)
+        ).verify():
             return False
     return seen == vertices

@@ -3,8 +3,9 @@
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
-from oriograph.core import OrientedGraph, Partition
+from oriograph.core import OrientedGraph, Partition, read_graph
 from oriograph.analysis import (
     cyclic_edge_stat,
     cyclic_edge_window,
@@ -16,7 +17,7 @@ from oriograph.analysis import (
 )
 from oriograph.generators import d_abc, rotational
 from oriograph.oracles import d_copy_counts as brute_d_copies
-from oriograph.oracles import random_oriented, random_tournament
+from oriograph.oracles import extremal_partition, random_oriented, random_tournament
 from oriograph.search import random_semi_regular
 
 
@@ -109,3 +110,32 @@ def test_find_extremal_partition_recovers_plant():
 def test_find_extremal_partition_gives_up_on_t7():
     t7 = rotational(7, [1, 2, 4])
     assert find_extremal_partition(t7, gamma=0.05, seed=1) is None
+
+
+def test_extremal_partition_oracle_agrees_with_the_checker():
+    # every labelling through extremal_check, against the oracle's own
+    # reading of the definition; local search finds nothing the oracle misses
+    rng = random.Random("extremal-oracle")
+    for trial in range(12):
+        n = rng.randrange(3, 9)
+        g = (random_tournament if trial % 2 else random_oriented)(rng, n)
+        gamma = rng.choice((0.05, 0.1, 0.2))
+        exists = any(
+            extremal_check(g, Partition([[v for v in range(n) if labels[v] == p] for p in range(3)]), gamma).ok
+            for labels in product(range(3), repeat=n)
+        )
+        found = extremal_partition(g, gamma)
+        assert (found is not None) == exists, trial
+        assert found is None or extremal_check(g, found, gamma).ok, trial
+        assert found is not None or find_extremal_partition(g, gamma, seed=trial) is None, trial
+
+
+def test_local_search_misses_a_partition_the_oracle_finds():
+    # d_abc(3, 3, 3) with some edges reversed and the vertices relabelled:
+    # a 0.05-extremal partition exists, but no restart of the local search
+    # reaches one
+    host = read_graph(Path(__file__).parent / "data" / "extremal_miss.dg")
+    assert find_extremal_partition(host, 0.05, seed="0") is None
+    found = extremal_partition(host, 0.05)
+    assert found is not None
+    assert extremal_check(host, found, 0.05).ok

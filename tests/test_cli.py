@@ -2,11 +2,14 @@
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
 from oriograph import cli
 from oriograph.core import parse, read_graph, read_partition
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -223,6 +226,12 @@ def test_lattice_report_and_target(paths, capsys):
     )
     assert code == 0
     assert doc["lattice_size"] >= 1
+    # the copy vectors (0,0,3) and (1,1,1) span 200^2 of the 200^3 classes
+    parts = paths["barrier2"].replace(".dg", ".parts")
+    argv = ["lattice", "--pattern", paths["c3"], "--host", paths["barrier2"], "--parts", parts]
+    code, doc = run_json(capsys, *argv, "--mod", "200")
+    assert code == 0
+    assert doc["lattice_size"] == 40_000
 
 
 def test_analyze_vertex(paths, capsys):
@@ -253,11 +262,13 @@ def test_analyze_extremal(paths, capsys):
 
 
 def test_analyze_extremal_search_failure(paths, capsys):
-    code, doc = run_json(
-        capsys, "analyze", "--host", paths["t7"], "--stats", "extremal", "--gamma", "0.05"
-    )
-    assert code == 1
-    assert "no partition" in doc["note"]
+    # a local-search miss is inconclusive, not a refutation: the second
+    # host has a 0.05-extremal partition that local search misses
+    for host in (paths["t7"], str(DATA / "extremal_miss.dg")):
+        code, doc = run_json(capsys, "analyze", "--host", host, "--stats", "extremal", "--gamma", "0.05")
+        assert code == 3
+        assert doc["extremal"] is None
+        assert "no partition" in doc["note"]
 
 
 def test_search_enumerate(tmp_path, capsys):
@@ -367,6 +378,11 @@ def test_usage_errors(tmp_path, capsys):
         assert cli.main(["search", "probe", "--pattern", str(s), "--n", sizes]) == 2
         assert cli.main(["search", "tile-probe", "--pattern", str(s), "--n", sizes]) == 2
     assert "Traceback" not in capsys.readouterr().err
+    # a pattern with no vertex tiles nothing: a usage error, not a refutation
+    empty = tmp_path / "empty.dg"
+    empty.write_text("0 0\n")
+    assert cli.main(["search", "tile-probe", "--pattern", str(empty), "--n", "4"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
     # a negative node budget is a usage error; a budget of 0 runs out at once
     tr10 = tmp_path / "tr10.dg"
     assert cli.main(["generate", "transitive", "10", "-o", str(tr10)]) == 0
@@ -380,11 +396,14 @@ def test_usage_errors(tmp_path, capsys):
 @pytest.mark.parametrize(
     "extra, expected",
     [
-        (["--mod", "200"], 2),  # 200^3 lattice states exceed the cap
+        # a modulus this large lists no member: the lattice has 200^2 and
+        # 101^2 classes, and (1,2,0) is outside the second
+        (["--mod", "200"], 0),
         (["--mod", "0"], 2),
         # the robust lattice at threshold 2 omits the (0,0,3) copy, so a
         # target outside it refutes nothing
         (["--threshold", "2", "--target", "1,2,3"], 0),
+        (["--mod", "101", "--target", "1,2,0"], 1),
     ],
 )
 def test_lattice_exit_codes(paths, capsys, caplog, extra, expected):

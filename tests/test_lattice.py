@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -30,10 +30,15 @@ MOD6_GENERATORS = (
 )
 
 
+def _members(lat):
+    """The lattice's members, by a membership test of every residue vector."""
+    return {v for v in product(range(lat.modulus), repeat=lat.dimension) if v in lat}
+
+
 def test_residue_lattice_matches_brute_force():
     lat = residue_lattice(MOD6_GENERATORS, 6, 3)
     assert len(lat) == 12
-    assert lat.members == frozenset(residue_span(MOD6_GENERATORS, 6, 3))
+    assert _members(lat) == residue_span(MOD6_GENERATORS, 6, 3)
     assert (3, 3, 0) in lat
     assert (1, 2, 3) not in lat
     assert (0, 0, 0) in lat
@@ -41,13 +46,29 @@ def test_residue_lattice_matches_brute_force():
 
 def test_residue_lattice_small_cases():
     lat = residue_lattice([(1, 1)], 3, 2)
-    assert lat.members == frozenset({(0, 0), (1, 1), (2, 2)})
+    assert _members(lat) == {(0, 0), (1, 1), (2, 2)}
     lat = residue_lattice([], 4, 2)
-    assert lat.members == frozenset({(0, 0)})
+    assert _members(lat) == {(0, 0)}
     with pytest.raises(ValueError):
         residue_lattice([(1, 1, 1)], 6, 2)
     with pytest.raises(ValueError):
         lat.contains((0, 0, 0))
+
+
+def test_residue_lattice_against_the_span_oracle():
+    # membership of every residue vector, a negative representative of
+    # each member, the size, and one record per subgroup: the span
+    # itself, listed as generators, gives back the same Hermite basis
+    rng = random.Random("residue-lattice")
+    for trial in range(300):
+        m, d = rng.randint(1, 12), rng.randint(1, 4)
+        gens = [tuple(rng.randrange(-30, 30) for _ in range(d)) for _ in range(rng.randint(0, 4))]
+        lat = residue_lattice(gens, m, d)
+        span = residue_span(gens, m, d)
+        assert _members(lat) == span, trial
+        assert all(tuple(x - m for x in v) in lat for v in span), trial
+        assert len(lat) == len(span), trial
+        assert residue_lattice(sorted(span), m, d) == lat, trial
 
 
 def test_edge_vectors_on_barriers():

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from oriograph import lattice
-from oriograph.core import OrientedGraph, Partition, bits
+from oriograph import lattice, tiling
+from oriograph.core import Embedding, OrientedGraph, Partition, bits
 from oriograph.errors import BudgetExceededError
 from oriograph.generators import (
     blow_up,
@@ -260,6 +260,18 @@ def test_verify_tiling_rejects_partial_and_garbage():
     # a copy naming a vertex outside the host is no tiling, not an error
     for bad in ((0, 1, 5), (0, 1, -1)):
         assert not verify_tiling(triangle, base, Tiling(copies=(bad,)))
+
+
+def test_verify_tiling_checks_each_copy_edge_by_edge(monkeypatch):
+    # a search answering with a map that is no copy cannot vouch for a
+    # block: {0, 1, 2} of the blow-up holds no triangle
+    triangle = f_r(1)
+    host, _ = blow_up(rotational(3, [1]), 2)
+    copies = Tiling(copies=((0, 1, 2), (3, 4, 5)))
+    monkeypatch.setattr(
+        tiling, "find_embedding", lambda pattern, sub: Embedding(pattern, sub, tuple(range(pattern.n)))
+    )
+    assert not verify_tiling(triangle, host, copies)
 
 
 def test_partition_of_another_vertex_set_is_refused_before_any_search():
