@@ -55,7 +55,6 @@ from .analysis import (
 )
 from .search import (
     canonical_form,
-    canonical_graph,
     enumerate_regular_tournaments,
     random_semi_regular,
     tileability_probe,

@@ -111,21 +111,31 @@ def _reverse_counts(graph, masks):
     return tuple(counts)
 
 
-def _check_gamma(gamma):
+def _size_window(n, gamma):
+    """[(1/3 - gamma) n, (1/3 + gamma) n], the sizes a part of a
+    gamma-extremal partition of n vertices may have."""
     # nan compares false with everything, so test for the good case
     if not (gamma >= 0 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
+    return (1 / 3 - gamma) * n, (1 / 3 + gamma) * n
+
+
+def extremal_sizes_fit(n, gamma):
+    """Do some three integer sizes summing to n all lie in the size window?
+    If not, no 3-partition of n vertices is gamma-extremal."""
+    lo, hi = _size_window(n, gamma)
+    fit = [s for s in range(n + 1) if lo <= s <= hi]
+    return bool(fit) and 3 * fit[0] <= n <= 3 * fit[-1]
 
 
 def extremal_check(graph, partition, gamma):
     """Is the partition gamma-extremal under some ordering of its parts?"""
-    _check_gamma(gamma)
+    n = graph.n
+    lo, hi = _size_window(n, gamma)
     if partition.d != 3:
         raise ValueError("extremal structure is defined for 3 parts")
-    partition.check_covers(graph.n)
-    n = graph.n
+    partition.check_covers(n)
     sizes = tuple(len(p) for p in partition.parts)
-    lo, hi = (1 / 3 - gamma) * n, (1 / 3 + gamma) * n
     given = _reverse_counts(graph, partition.masks)
     passing = None
     if all(lo <= s <= hi for s in sizes):
@@ -152,12 +162,10 @@ def find_extremal_partition(graph, gamma, seed=0):
     None rules no partition out (`oracles.extremal_partition` is the
     exhaustive search, for small n).
     """
-    _check_gamma(gamma)
     n = graph.n
+    lo, hi = _size_window(n, gamma)
     if n < 3:
         return None
-    lo = (1 / 3 - gamma) * n
-    hi = (1 / 3 + gamma) * n
 
     def reverse_total(label_masks):
         return sum(_reverse_counts(graph, label_masks))

@@ -8,7 +8,9 @@ built-in claim checklist.
 Exit codes: 0 success / found / verified, 1 not found / refuted,
 2 usage or I/O error or a resource cap hit, 3 search gave up on its node
 budget, or `analyze --stats extremal` found no partition by local search
-(a heuristic miss, not a refutation).  Inputs are checked where they are
+(a heuristic miss, not a refutation; when no part sizes fit the window,
+it refutes without a search).  The probes exit by their report's
+"outcome".  Inputs are checked where they are
 read, before any search, so a --parts file that does not cover exactly
 the host's vertices 0..n-1 exits 2 whatever the budget and the orders.
 `lattice --target` refutes (exit 1) only at --threshold 1, where the
@@ -53,60 +55,31 @@ def _print_table(rows, header):
 
 # generate
 
-GENERATE_USAGE = {
-    "transitive": "n",
-    "cycle-power": "k ell",
-    "d-abc": "a b c",
-    "f-r": "r",
-    "s": "",
-    "rotational": "n r1,r2,...",
-    "blow-up": "base.dg t",
-    "t-sk": "s k",
-    "c3-barrier": "n",
+def _t_sk(s, k):
+    w = generators.t_sk(int(s), int(k))
+    return w.graph, w.partition
+
+
+# family -> (parameter names, builder of a graph or a (graph, partition) pair)
+GENERATE = {
+    "transitive": ("n", lambda n: generators.transitive(int(n))),
+    "cycle-power": ("k ell", lambda k, ell: generators.cycle_power(int(k), int(ell))),
+    "d-abc": ("a b c", lambda a, b, c: generators.d_abc(int(a), int(b), int(c))),
+    "f-r": ("r", lambda r: generators.f_r(int(r))),
+    "s": ("", generators.graph_s),
+    "rotational": ("n r1,r2,...", lambda n, rs: generators.rotational(int(n), [int(x) for x in rs.split(",") if x])),
+    "blow-up": ("base.dg t", lambda base, t: generators.blow_up(read_graph(base), int(t))),
+    "t-sk": ("s k", _t_sk),
+    "c3-barrier": ("n", lambda n: generators.c3_barrier(int(n))),
 }
 
 
-def _build_family(family, params):
-    def want(k):
-        if len(params) != k:
-            raise ValueError(
-                f"family {family!r} takes parameters: {GENERATE_USAGE[family] or '(none)'}"
-            )
-
-    if family == "transitive":
-        want(1)
-        return generators.transitive(int(params[0])), None
-    if family == "cycle-power":
-        want(2)
-        return generators.cycle_power(int(params[0]), int(params[1])), None
-    if family == "d-abc":
-        want(3)
-        return generators.d_abc(int(params[0]), int(params[1]), int(params[2]))
-    if family == "f-r":
-        want(1)
-        return generators.f_r(int(params[0])), None
-    if family == "s":
-        want(0)
-        return generators.graph_s(), None
-    if family == "rotational":
-        want(2)
-        residues = [int(x) for x in params[1].split(",") if x]
-        return generators.rotational(int(params[0]), residues), None
-    if family == "blow-up":
-        want(2)
-        return generators.blow_up(read_graph(params[0]), int(params[1]))
-    if family == "t-sk":
-        want(2)
-        w = generators.t_sk(int(params[0]), int(params[1]))
-        return w.graph, w.partition
-    if family == "c3-barrier":
-        want(1)
-        return generators.c3_barrier(int(params[0]))
-    raise ValueError(f"unknown family {family!r}")
-
-
 def cmd_generate(args):
-    graph, partition = _build_family(args.family, args.params)
+    names, build = GENERATE[args.family]
+    if len(args.params) != len(names.split()):
+        raise ValueError(f"family {args.family!r} takes parameters: {names or '(none)'}")
+    built = build(*args.params)
+    graph, partition = built if isinstance(built, tuple) else (built, None)
     if args.output:
         write_graph(args.output, graph)
         doc = {"written": args.output}
@@ -260,6 +233,15 @@ def cmd_analyze(args):
         gamma = args.gamma if args.gamma is not None else 0.05
         seed = args.seed if args.seed is not None else "0"
         if partition is None:
+            if not analysis.extremal_sizes_fit(host.n, gamma):
+                # no three part sizes fit the window: a refutation, with no search
+                doc = {"gamma": gamma, "extremal": False, "note": "refuted: no part sizes fit the window"}
+                _emit(
+                    args,
+                    doc,
+                    lambda: print(f"extremal at gamma={gamma}: False (no part sizes fit the window)"),
+                )
+                return 1
             partition = analysis.find_extremal_partition(host, gamma, seed=seed)
         if partition is None:
             # a local-search miss rules no partition out
@@ -341,6 +323,10 @@ def _parse_sizes(text):
     return sizes
 
 
+# the exit code of a probe's outcome
+PROBE_EXIT = {"found": 0, "refuted": 1, "inconclusive": 3}
+
+
 def cmd_search(args):
     if args.search_cmd == "enumerate-rt":
         reps = search.enumerate_regular_tournaments(args.n)
@@ -361,13 +347,15 @@ def cmd_search(args):
         )
         return 0
     if args.search_cmd == "probe":
+        if args.mode == "exhaustive" and (args.samples is not None or args.seed is not None):
+            raise ValueError("--samples and --seed are read only with --mode sample")
         pattern = read_graph(args.pattern)
         report = search.turanability_probe(
             pattern,
             sizes=_parse_sizes(args.n),
             mode=args.mode,
-            samples=args.samples,
-            seed=args.seed,
+            samples=args.samples if args.samples is not None else 20,
+            seed=args.seed if args.seed is not None else "0",
             budget=args.budget,
         )
 
@@ -379,11 +367,7 @@ def cmd_search(args):
             print(report["note"])
 
         _emit(args, report, human)
-        if any(entry["misses"] for entry in report["per_n"]):
-            return 1
-        if any("inconclusive" in entry for entry in report["per_n"]):
-            return 3
-        return 0
+        return PROBE_EXIT[report["outcome"]]
     pattern = read_graph(args.pattern)
     report = search.tileability_probe(
         pattern,
@@ -402,10 +386,7 @@ def cmd_search(args):
         print(report["note"])
 
     _emit(args, report, human)
-    modes = {o["mode"] for e in report["per_n"] for o in e.get("outcomes", ())}
-    if modes - {tiling.FOUND, tiling.INCONCLUSIVE}:
-        return 1
-    return 3 if tiling.INCONCLUSIVE in modes else 0
+    return PROBE_EXIT[report["outcome"]]
 
 
 # verify-paper
@@ -459,7 +440,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", parents=[common], help="write a named family to a .dg file")
-    p.add_argument("family", choices=sorted(GENERATE_USAGE))
+    p.add_argument("family", choices=sorted(GENERATE))
     p.add_argument("params", nargs="*", help="family parameters, see docs")
     p.add_argument("-o", "--output", help="output .dg path (default stdout)")
     p.set_defaults(func=cmd_generate)
@@ -489,7 +470,11 @@ def build_parser():
     p.add_argument("--parts", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--mod", type=_positive_int, default=None, help="lattice modulus (default pattern order)")
-    p.add_argument("--target", help="comma-separated index vector to test for membership")
+    p.add_argument(
+        "--target",
+        help="comma-separated index vector to test for membership; "
+        "one that starts with a minus sign is written --target=-1,5,2",
+    )
     p.add_argument("--threshold", type=int, default=1, help="robustness count threshold")
     p.set_defaults(func=cmd_lattice)
 
@@ -509,12 +494,14 @@ def build_parser():
     q.add_argument("--out-dir", help="also write each class as a .dg file")
     q.set_defaults(func=cmd_search)
     q = ssub.add_parser(
-        "probe", parents=[common, budgeted, seeded], help="pattern containment over tournament corpora"
+        "probe", parents=[common, budgeted], help="pattern containment over tournament corpora"
     )
     q.add_argument("--pattern", required=True)
     q.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
     q.add_argument("--n", required=True, help="comma-separated host orders")
-    q.add_argument("--samples", type=_positive_int, default=20)
+    # read only by --mode sample; default None so that exhaustive mode can reject them
+    q.add_argument("--samples", type=_positive_int, default=None, help="hosts per order (default 20)")
+    q.add_argument("--seed", default=None, help="seed for the sampled hosts (default 0)")
     q.set_defaults(func=cmd_search)
     q = ssub.add_parser(
         "tile-probe", parents=[common, budgeted, seeded], help="perfect-tiling evidence over samples"

@@ -76,18 +76,9 @@ def d_abc(a, b, c):
     d_abc(s, s, s) is a tournament on 3s vertices; d_abc(1, 1, 2) is the
     unique strongly connected tournament on 4 vertices.
     """
-    sizes = (a, b, c)
-    if min(sizes) < 1:
+    if min(a, b, c) < 1:
         raise ValueError("part sizes must be positive")
-    bounds = _offsets(sizes)
-    edges = []
-    for p in range(3):
-        lo, hi = bounds[p], bounds[p + 1]
-        edges.extend((i, j) for i in range(lo, hi) for j in range(i + 1, hi))
-        nlo, nhi = bounds[(p + 1) % 3], bounds[(p + 1) % 3 + 1]
-        edges.extend((i, j) for i in range(lo, hi) for j in range(nlo, nhi))
-    parts = [range(bounds[p], bounds[p + 1]) for p in range(3)]
-    return OrientedGraph(sum(sizes), edges), Partition(parts)
+    return _cyclic_parts((a, b, c), transitive)
 
 
 def f_r(r):
@@ -171,12 +162,13 @@ def t_sk(s, k):
     """Semi-regular tournament on 3s(k+1) vertices with no perfect tiling by
     the triangle blow-up on 3s vertices.
 
-    Writing q = s(k+1) (required even), the parts have sizes q-1, q, q+1
-    and carry semi-regular internal tournaments; cross edges run part 1 ->
-    part 2 -> part 3 -> part 1 except for two reversed matchings of size
-    q/2: one from part 3 back onto the highest out-degree vertices of part
-    2, one from the first q/2 vertices of part 1 onto the same q/2
-    vertices of part 3.  Every out-degree lands in {3q/2 - 1, 3q/2}.
+    Writing q = s(k+1) (required even), this is c3_barrier(q), parts of
+    sizes q-1, q, q+1 with semi-regular internal tournaments and cross
+    edges part 1 -> part 2 -> part 3 -> part 1, with two matchings of size
+    q/2 reversed: one from part 3 back onto the highest out-degree
+    vertices of part 2, one from the first q/2 vertices of part 1 onto the
+    same q/2 vertices of part 3.  Every out-degree lands in
+    {3q/2 - 1, 3q/2}.
     """
     if s < 2:
         raise ValueError("s must be at least 2")
@@ -187,35 +179,18 @@ def t_sk(s, k):
         raise ValueError(f"s(k+1) = {q} must be even")
     if 3 * q > MAX_VERTICES:
         raise ValueError(f"3s(k+1) = {3 * q} exceeds the {MAX_VERTICES}-vertex cap")
-    sizes = (q - 1, q, q + 1)
-    bounds = _offsets(sizes)
-    edges = []
-    for p in range(3):
-        part = semi_regular_tournament(sizes[p])
-        off = bounds[p]
-        edges.extend((off + u, off + v) for u, v in part.edges())
-    o1, o2, o3 = bounds[0], bounds[1], bounds[2]
+    graph, partition = c3_barrier(q)
     half = q // 2
-    m1 = {(o3 + j, o2 + j) for j in range(half)}
-    m2 = {(o1 + j, o3 + j) for j in range(half)}
-    edges.extend((u, v) for u in range(o1, o2) for v in range(o2, o3))
-    for u in range(o2, o3):
-        for v in range(o3, o3 + q + 1):
-            if (v, u) in m1:
-                edges.append((v, u))
-            else:
-                edges.append((u, v))
-    for u in range(o3, o3 + q + 1):
-        for v in range(o1, o2):
-            if (v, u) in m2:
-                edges.append((v, u))
-            else:
-                edges.append((u, v))
-    parts = [range(bounds[p], bounds[p + 1]) for p in range(3)]
+    o2, o3 = q - 1, 2 * q - 1  # the first vertices of parts 2 and 3
+    reverse = {(o3 + j, o2 + j) for j in range(half)} | {(j, o3 + j) for j in range(half)}
+    rows = list(graph.out_rows)
+    for u, v in reverse:
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
     return TskWitness(
-        graph=OrientedGraph(3 * q, edges),
-        partition=Partition(parts),
-        reverse_edges=frozenset(m1 | m2),
+        graph=OrientedGraph.from_out_rows(3 * q, rows),
+        partition=partition,
+        reverse_edges=frozenset(reverse),
     )
 
 
@@ -231,22 +206,19 @@ def c3_barrier(n):
         raise ValueError("n must be positive")
     if 3 * n > MAX_VERTICES:
         raise ValueError(f"3n = {3 * n} exceeds the {MAX_VERTICES}-vertex cap")
-    sizes = (n - 1, n, n + 1)
-    bounds = _offsets(sizes)
-    edges = []
+    return _cyclic_parts((n - 1, n, n + 1), semi_regular_tournament)
+
+
+def _cyclic_parts(sizes, inner):
+    """Three consecutive parts of the given sizes, part p carrying
+    inner(sizes[p]), and every cross edge running part 1 -> part 2 ->
+    part 3 -> part 1.  Returns (graph, partition)."""
+    bounds = [0, sizes[0], sizes[0] + sizes[1], sum(sizes)]
+    rows = []
     for p in range(3):
-        part = semi_regular_tournament(sizes[p])
-        off = bounds[p]
-        edges.extend((off + u, off + v) for u, v in part.edges())
+        lo = bounds[p]
         nlo, nhi = bounds[(p + 1) % 3], bounds[(p + 1) % 3 + 1]
-        for u in range(bounds[p], bounds[p + 1]):
-            edges.extend((u, v) for v in range(nlo, nhi))
+        ahead = (1 << nhi) - (1 << nlo)  # the vertices of the next part
+        rows.extend(row << lo | ahead for row in inner(sizes[p]).out_rows)
     parts = [range(bounds[p], bounds[p + 1]) for p in range(3)]
-    return OrientedGraph(3 * n, edges), Partition(parts)
-
-
-def _offsets(sizes):
-    bounds = [0]
-    for s in sizes:
-        bounds.append(bounds[-1] + s)
-    return bounds
+    return OrientedGraph.from_out_rows(bounds[3], rows), Partition(parts)

@@ -59,7 +59,7 @@ from .core import OrientedGraph, bits, serialize
 from .embed import find_embedding
 from .errors import BudgetExceededError
 from .generators import semi_regular_tournament
-from .tiling import FOUND, perfect_tiling
+from .tiling import FOUND, INCONCLUSIVE, perfect_tiling
 
 
 def canonical_form(graph):
@@ -67,13 +67,6 @@ def canonical_form(graph):
     found level by level (see _canonical_perm_and_form)."""
     _, form, _ = _canonical_perm_and_form(graph)
     return form
-
-
-def canonical_graph(graph):
-    """The canonical representative: the graph relabelled by a minimizing
-    permutation, so isomorphic graphs map to equal graphs."""
-    perms, _, _ = _canonical_perm_and_form(graph)
-    return _relabelled(graph, perms[0])
 
 
 def _relabelled(graph, perm):
@@ -87,9 +80,10 @@ def _relabelled(graph, perm):
 
 def _canonical_perm_and_form(graph):
     """Every minimizing permutation, the form, and the number of prefixes
-    kept.  perm[k] is the vertex placed at position k; the first
-    permutation is the one canonical_graph relabels by, and there are
-    |Aut(graph)| of them (see the module docstring).
+    kept.  perm[k] is the vertex placed at position k, and there are
+    |Aut(graph)| of them (see the module docstring); the graph relabelled
+    by any of them, _relabelled(graph, perm), is the canonical
+    representative, equal for isomorphic graphs.
 
     Level k holds every prefix p_0..p_(k-1) whose chunks are the least
     first k chunks of any relabelling.  Chunk k has one digit per placed u:
@@ -291,8 +285,10 @@ def turanability_probe(pattern, sizes, mode="exhaustive", samples=100, seed=0, b
     """Evidence report: which tournaments of the given sizes contain the pattern.
 
     mode "exhaustive" runs over every regular-tournament class (odd n <= 11);
-    mode "sample" draws seeded semi-regular tournaments.  Findings are finite
-    evidence only; nothing is claimed beyond the sizes listed.
+    mode "sample" draws seeded semi-regular tournaments, host i from seed
+    f"{seed}:{i}".  Findings are finite evidence only; nothing is claimed
+    beyond the sizes listed.  A host that misses the pattern refutes (see
+    _outcome).
     """
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -327,13 +323,17 @@ def turanability_probe(pattern, sizes, mode="exhaustive", samples=100, seed=0, b
         "seed": seed,
         "note": "finite evidence only, no claim beyond the sizes listed",
         "per_n": per_n,
+        "outcome": _outcome(
+            any(e["misses"] for e in per_n), any("inconclusive" in e for e in per_n)
+        ),
     }
 
 
 def tileability_probe(pattern, sizes, samples=20, seed=0, budget=None):
     """Evidence report: fraction of sampled semi-regular tournaments with a
-    perfect tiling by the pattern.  Sizes not divisible by the pattern
-    order are reported as skipped."""
+    perfect tiling by the pattern, host i drawn from seed f"{seed}:{i}".
+    Sizes not divisible by the pattern order are reported as skipped.  A
+    host with no perfect tiling refutes (see _outcome)."""
     if pattern.n == 0:
         raise ValueError("pattern must have at least one vertex")
     per_n = []
@@ -355,9 +355,19 @@ def tileability_probe(pattern, sizes, samples=20, seed=0, budget=None):
             else:
                 outcomes.append({"tag": f"sample-{i}", "mode": result.mode})
         per_n.append({"n": n, "samples": samples, "tiled": tiled, "outcomes": outcomes})
+    modes = {o["mode"] for e in per_n for o in e.get("outcomes", ())}
     return {
         "pattern": serialize(pattern),
         "seed": seed,
         "note": "finite evidence only, no claim beyond the sizes listed",
         "per_n": per_n,
+        "outcome": _outcome(bool(modes - {FOUND, INCONCLUSIVE}), INCONCLUSIVE in modes),
     }
+
+
+def _outcome(refuted, gave_up):
+    """A probe's "outcome": "refuted" if some host refutes, else
+    "inconclusive" if some host's search ran out of budget, else "found"."""
+    if refuted:
+        return "refuted"
+    return "inconclusive" if gave_up else "found"

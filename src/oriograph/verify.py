@@ -6,7 +6,9 @@ lattice certificates, the copy index-vector patterns, the degree
 statistic windows on a random corpus, and the agreement of the search
 kernels with the brute-force oracles in the oracles module.  A check is
 the only definition of its claim: the acceptance tests call these same
-functions under the full profile, passing their own seeds.
+functions under the full profile, passing their own seeds.  The two
+evidence checks, S in regular tournaments and D-factors in sampled
+hosts, run the search module's probes and read their outcome.
 
 Three profiles trade coverage for time.  "fast" caps every backtracking
 search at a small node budget and shrinks the sampled corpora, so a
@@ -86,6 +88,8 @@ MOD6_GENERATORS = (
 )
 # (labeled regular tournaments, isomorphism classes) on n vertices
 REGULAR_COUNTS = {3: (2, 1), 5: (24, 1), 7: (2640, 3)}
+# the check status of a probe's outcome (see search._outcome)
+PROBE_STATUS = {"found": PASS, "inconclusive": INCONCLUSIVE, "refuted": FAIL}
 
 
 def _status(ok):
@@ -354,54 +358,34 @@ def check_oracle_agreement(p, seed="oracle-agreement"):
 
 def check_s_in_small_tournaments(p, seed="probe"):
     s_graph = generators.graph_s()
-    exhaustive_ok = True
+    exhaustive = search.turanability_probe(s_graph, (5, 7, 9), budget=p["budget"])
+    sampled = search.turanability_probe(
+        s_graph, p["probe_sizes"], mode="sample", samples=p["probe_samples"], seed=seed,
+        budget=p["budget"],
+    )
     detail = {}
-    for n in (5, 7, 9):
-        reps = search.enumerate_regular_tournaments(n)
-        hits = sum(1 for g in reps if embed.find_embedding(s_graph, g, budget=p["budget"]))
-        detail[f"exhaustive n={n}"] = {"containing": hits, "classes": len(reps)}
-        exhaustive_ok = exhaustive_ok and hits == len(reps)
-    findings = []
-    exhausted = 0
-    for n in p["probe_sizes"]:
-        hits = 0
-        for i in range(p["probe_samples"]):
-            host = search.random_semi_regular(n, seed=f"{seed}:{n}:{i}")
-            try:
-                if embed.find_embedding(s_graph, host, budget=p["budget"]):
-                    hits += 1
-                else:
-                    findings.append({"n": n, "sample": i})
-            except BudgetExceededError:
-                exhausted += 1
-        detail[f"sampled n={n}"] = {"containing": hits, "samples": p["probe_samples"]}
-    # a sampled regular tournament without S is a counterexample
+    for e in exhaustive["per_n"]:
+        detail[f"exhaustive n={e['n']}"] = {"containing": e["containing"], "classes": e["population"]}
+    for e in sampled["per_n"]:
+        detail[f"sampled n={e['n']}"] = {"containing": e["containing"], "samples": e["population"]}
+    # a regular tournament without S is a counterexample
+    findings = [
+        {"n": e["n"], "tag": miss["tag"]}
+        for report in (exhaustive, sampled)
+        for e in report["per_n"]
+        for miss in e["misses"]
+    ]
     if findings:
         detail["findings"] = findings
-    if not exhaustive_ok or findings:
-        return (FAIL, detail)
-    return (INCONCLUSIVE if exhausted else PASS, detail)
+    return (_worst(PROBE_STATUS[r["outcome"]] for r in (exhaustive, sampled)), detail)
 
 def check_d_tiling_in_samples(p, seed="tile"):
     pattern, _ = generators.d_abc(1, 1, 2)
-    detail = {}
-    failed = 0
-    exhausted = 0
-    for n in (8, 12, 16):
-        tiled = 0
-        for i in range(p["tiling_evidence_samples"]):
-            host = search.random_semi_regular(n, seed=f"{seed}:{n}:{i}")
-            result = tiling.perfect_tiling(pattern, host, budget=p["budget"])
-            if result.mode == tiling.INCONCLUSIVE:
-                exhausted += 1
-            elif result.mode == tiling.FOUND and tiling.verify_tiling(pattern, host, result.tiling):
-                tiled += 1
-            else:
-                failed += 1
-        detail[f"n={n}"] = {"tiled": tiled, "samples": p["tiling_evidence_samples"]}
-    if failed:
-        return (FAIL, detail)
-    return (INCONCLUSIVE if exhausted else PASS, detail)
+    report = search.tileability_probe(
+        pattern, (8, 12, 16), samples=p["tiling_evidence_samples"], seed=seed, budget=p["budget"]
+    )
+    detail = {f"n={e['n']}": {"tiled": e["tiled"], "samples": e["samples"]} for e in report["per_n"]}
+    return (PROBE_STATUS[report["outcome"]], detail)
 
 CHECKS = (
     ("c6-power-2-avoids-rotational-7", check_c6_power_2_avoids_rotational_7),

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from oriograph import cli
+from oriograph import cli, oracles
 from oriograph.core import parse, read_graph, read_partition
 
 DATA = Path(__file__).parent / "data"
@@ -232,6 +232,11 @@ def test_lattice_report_and_target(paths, capsys):
     code, doc = run_json(capsys, *argv, "--mod", "200")
     assert code == 0
     assert doc["lattice_size"] == 40_000
+    # argparse reads "-1,5,2" after a space as a flag; after "=" it is the value
+    assert run(capsys, *argv, "--target", "-1,5,2") == (2, "")
+    code, doc = run_json(capsys, *argv, "--target=-1,5,2")
+    assert code == 0
+    assert (doc["target"], doc["target_in_lattice"]) == ([-1, 5, 2], True)
 
 
 def test_analyze_vertex(paths, capsys):
@@ -262,13 +267,20 @@ def test_analyze_extremal(paths, capsys):
 
 
 def test_analyze_extremal_search_failure(paths, capsys):
-    # a local-search miss is inconclusive, not a refutation: the second
-    # host has a 0.05-extremal partition that local search misses
-    for host in (paths["t7"], str(DATA / "extremal_miss.dg")):
-        code, doc = run_json(capsys, "analyze", "--host", host, "--stats", "extremal", "--gamma", "0.05")
-        assert code == 3
-        assert doc["extremal"] is None
-        assert "no partition" in doc["note"]
+    # a local-search miss is inconclusive, not a refutation: this host has
+    # a 0.05-extremal partition that local search misses
+    argv = ["--stats", "extremal", "--gamma", "0.05"]
+    code, doc = run_json(capsys, "analyze", "--host", str(DATA / "extremal_miss.dg"), *argv)
+    assert code == 3
+    assert doc["extremal"] is None
+    assert "no partition" in doc["note"]
+    # but on 7 vertices each part needs 2 vertices (window [1.98, 2.68]),
+    # so no partition is 0.05-extremal: refuted without a search
+    code, doc = run_json(capsys, "analyze", "--host", paths["t7"], *argv)
+    assert code == 1
+    assert doc["extremal"] is False
+    assert "no part sizes fit" in doc["note"]
+    assert oracles.extremal_partition(read_graph(paths["t7"]), 0.05) is None
 
 
 def test_search_enumerate(tmp_path, capsys):
@@ -282,8 +294,24 @@ def test_search_probe(paths, capsys):
     code, doc = run_json(capsys, "search", "probe", "--pattern", paths["s"], "--n", "5,7")
     assert code == 0
     assert [e["containing"] for e in doc["per_n"]] == [1, 3]
-    code, _ = run(capsys, "search", "probe", "--pattern", paths["c62"], "--n", "7")
+    assert doc["outcome"] == "found"
+    code, doc = run_json(capsys, "search", "probe", "--pattern", paths["c62"], "--n", "7")
     assert code == 1
+    assert doc["outcome"] == "refuted"
+    argv = ["search", "probe", "--pattern", paths["s"], "--mode", "sample", "--n", "9", "--samples", "2"]
+    code, doc = run_json(capsys, *argv, "--budget", "1")
+    assert code == 3
+    assert doc["outcome"] == "inconclusive"
+
+
+def test_search_probe_exhaustive_rejects_sampling_flags(paths, capsys):
+    # an exhaustive probe draws no sample, so --samples and --seed would do nothing
+    argv = ["search", "probe", "--pattern", paths["s"], "--n", "5"]
+    assert run(capsys, *argv, "--seed", "3") == (2, "")
+    assert run(capsys, *argv, "--samples", "3") == (2, "")
+    assert run(capsys, *argv, "--mode", "exhaustive", "--seed", "3") == (2, "")
+    code, doc = run_json(capsys, *argv, "--mode", "sample", "--seed", "3", "--samples", "2")
+    assert (code, doc["seed"], doc["per_n"][0]["population"]) == (0, "3", 2)
 
 
 def test_search_tile_probe(paths, capsys):
@@ -294,6 +322,7 @@ def test_search_tile_probe(paths, capsys):
     by_n = {e["n"]: e for e in doc["per_n"]}
     assert by_n[8]["tiled"] == 3
     assert "skipped" in by_n[10]
+    assert doc["outcome"] == "found"
 
 
 def test_search_tile_probe_exit_codes(paths, tmp_path, capsys):
@@ -301,6 +330,8 @@ def test_search_tile_probe_exit_codes(paths, tmp_path, capsys):
     argv = ["search", "tile-probe", "--pattern", paths["d"], "--n", "8", "--samples", "2"]
     code, out = run(capsys, *argv, "--budget", "1")
     assert (code, out.split("\n")[0]) == (3, "n=8: 0/2 samples tiled")
+    code, doc = run_json(capsys, *argv, "--budget", "1")
+    assert (code, doc["outcome"]) == (3, "inconclusive")
     # the only semi-regular tournament on 3 vertices is the directed triangle
     tt3 = tmp_path / "tt3.dg"
     assert cli.main(["generate", "transitive", "3", "-o", str(tt3)]) == 0
@@ -309,6 +340,7 @@ def test_search_tile_probe_exit_codes(paths, tmp_path, capsys):
     code, doc = run_json(capsys, *argv)
     assert code == 1
     assert doc["per_n"][0]["outcomes"][0]["mode"] == "refuted-exhaustive"
+    assert doc["outcome"] == "refuted"
 
 
 def test_verify_paper_fast(capsys):

@@ -1,8 +1,10 @@
 """Named families: orders, degrees, partitions, and local edge rules."""
 
+import hashlib
+
 import pytest
 
-from oriograph.core import isomorphic_brute
+from oriograph.core import isomorphic_brute, serialize, serialize_partition
 from oriograph.generators import (
     blow_up,
     c3_barrier,
@@ -130,3 +132,25 @@ def test_c3_barrier():
         assert g.min_semi_degree() == (3 * n - 3) // 2
     with pytest.raises(ValueError):
         c3_barrier(0)
+
+
+def construction_digest(built):
+    text = "".join(serialize(g) + serialize_partition(p) for g, p in built)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_three_part_constructions_are_pinned():
+    # graphs, parts and reversed matchings, recorded while each family
+    # still built its own three-part edge list
+    d = [d_abc(*abc) for abc in ((1, 1, 1), (1, 1, 2), (2, 3, 4), (3, 3, 3), (5, 1, 7))]
+    c = [c3_barrier(n) for n in (1, 2, 3, 4, 7, 10)]
+    ws = [t_sk(s, k) for s, k in ((2, 0), (2, 1), (3, 1), (4, 0), (2, 7))]
+    reversed_ = ";".join(",".join(f"{u}>{v}" for u, v in sorted(w.reverse_edges)) for w in ws)
+    assert construction_digest(d) == "d00030eb0b629e202a197ce4d57658a5b100275907ceb7b27d51c4bc3ec3b916"
+    assert construction_digest(c) == "9ff42ecce86dd1b432554c3ac6c6ca2e26195a4efae1663923c3be7f0908cf65"
+    assert construction_digest((w.graph, w.partition) for w in ws) == (
+        "ff574403d530633ee730807f9d0024da969eb5fae022db6d115ddda95b356735"
+    )
+    assert hashlib.sha256(reversed_.encode()).hexdigest() == (
+        "fbbe424f5907eb61422a80d6c29938b435faae3af7a7bbd43ac28538bfe844a7"
+    )

@@ -9,18 +9,23 @@ import pytest
 
 from oriograph.core import OrientedGraph, isomorphic_brute, serialize
 from oriograph.embed import count_embeddings, find_embedding
-from oriograph.generators import d_abc, f_r, graph_s, rotational, semi_regular_tournament
-from oriograph import oracles, search
+from oriograph.generators import cycle_power, d_abc, f_r, graph_s, rotational, semi_regular_tournament
+from oriograph import generators, oracles, search, verify
 from oriograph.oracles import random_oriented, random_tournament
 from oriograph.search import (
     _canonical_perm_and_form,
+    _relabelled,
     canonical_form,
-    canonical_graph,
     enumerate_regular_tournaments,
     random_semi_regular,
     tileability_probe,
     turanability_probe,
 )
+
+
+def canonical_graph(graph):
+    """The graph relabelled by its first minimizing permutation."""
+    return _relabelled(graph, _canonical_perm_and_form(graph)[0][0])
 
 
 def relabel(graph, perm):
@@ -289,15 +294,16 @@ def test_turanability_probe_exhaustive():
     assert [e["containing"] for e in report["per_n"]] == [1, 3]
     assert all(not e["misses"] for e in report["per_n"])
     assert "finite evidence" in report["note"]
+    assert report["outcome"] == "found"
 
 
 def test_turanability_probe_records_misses():
     # exactly one of the three regular tournaments on 7 vertices avoids
     # the square of C_6: the rotational one with offsets 1,2,4
     from oriograph.core import parse
-    from oriograph.generators import cycle_power
 
     report = turanability_probe(cycle_power(6, 2), sizes=(7,))
+    assert report["outcome"] == "refuted"
     entry = report["per_n"][0]
     assert entry["population"] == 3
     assert entry["containing"] == 2
@@ -311,6 +317,10 @@ def test_turanability_probe_sampled():
     for entry in report["per_n"]:
         assert entry["population"] == 5
         assert entry["containing"] == 5
+    assert report["outcome"] == "found"
+    report = turanability_probe(graph_s(), sizes=(9,), mode="sample", samples=2, budget=1)
+    assert report["per_n"][0]["inconclusive"] == ["sample-0", "sample-1"]
+    assert report["outcome"] == "inconclusive"
 
 
 def test_tileability_probe():
@@ -320,3 +330,32 @@ def test_tileability_probe():
     assert by_n[8]["tiled"] == 4
     assert all(o["mode"] == "found" for o in by_n[8]["outcomes"])
     assert "skipped" in by_n[10]
+    assert report["outcome"] == "found"
+    report = tileability_probe(d, sizes=(8,), samples=2, budget=1)
+    assert report["outcome"] == "inconclusive"
+
+
+# the evidence checks of verify, run on small corpora
+SMALL = dict(verify.PROFILES["fast"], probe_sizes=(9,), probe_samples=3, tiling_evidence_samples=2)
+
+
+def test_verify_s_check_reports_a_miss(monkeypatch):
+    # the square of C_6 is missed by the one class on 5 vertices and by
+    # the rotational class on 7: each miss is a finding, and the check fails
+    monkeypatch.setattr(generators, "graph_s", lambda: cycle_power(6, 2))
+    status, detail = verify.check_s_in_small_tournaments(SMALL)
+    assert status == verify.FAIL
+    assert detail["exhaustive n=7"] == {"containing": 2, "classes": 3}
+    assert detail["findings"] == [{"n": 5, "tag": "class-0"}, {"n": 7, "tag": "class-2"}]
+
+
+def test_verify_evidence_checks_are_inconclusive_out_of_budget():
+    # a search that runs out of budget proves nothing either way
+    starved = dict(SMALL, budget=1)
+    status, detail = verify.check_s_in_small_tournaments(starved)
+    assert status == verify.INCONCLUSIVE
+    assert "findings" not in detail
+    assert detail["exhaustive n=5"] == {"containing": 0, "classes": 1}
+    status, detail = verify.check_d_tiling_in_samples(starved)
+    assert status == verify.INCONCLUSIVE
+    assert detail["n=8"] == {"tiled": 0, "samples": 2}
