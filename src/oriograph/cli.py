@@ -498,7 +498,7 @@ def build_parser():
     )
     q.add_argument("--pattern", required=True)
     q.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
-    q.add_argument("--n", required=True, help="comma-separated host orders")
+    q.add_argument("--n", required=True, help="comma-separated odd host orders")
     # read only by --mode sample; default None so that exhaustive mode can reject them
     q.add_argument("--samples", type=_positive_int, default=None, help="hosts per order (default 20)")
     q.add_argument("--seed", default=None, help="seed for the sampled hosts (default 0)")
@@ -507,7 +507,10 @@ def build_parser():
         "tile-probe", parents=[common, budgeted, seeded], help="perfect-tiling evidence over samples"
     )
     q.add_argument("--pattern", required=True)
-    q.add_argument("--n", required=True, help="comma-separated host orders")
+    q.add_argument(
+        "--n", required=True,
+        help="comma-separated host orders, at least one divisible by the pattern order",
+    )
     q.add_argument("--samples", type=_positive_int, default=20)
     q.set_defaults(func=cmd_search)
 

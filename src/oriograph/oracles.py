@@ -7,7 +7,9 @@ cannot vouch for them.  They are exponential and meant for instances of
 at most a dozen vertices.  The two counts of labeled regular tournaments
 read no graph at all: the exponential leaf count checks the dynamic
 program at small n, and the dynamic program reaches n = 11 in
-milliseconds.
+milliseconds.  Sampling by counting on that program draws uniform
+labelled tournaments with the walk's score vector, the reference for
+search.random_semi_regular, which it never calls.
 
 The random-graph helpers draw every pair in a fixed order from the
 caller's random.Random, so a seeded stream of instances is reproducible.
@@ -170,37 +172,87 @@ def labeled_regular_tournaments(n):
 
 def labeled_regular_dp(n):
     """The number of regular tournaments on the vertex set 0..n-1, deciding
-    one vertex's remaining games at a time.  The state is the sorted
-    multiset of wins each undecided vertex still needs.  The vertex needing
-    fewest, r, beats r of the others and loses to the rest, each of which
-    then needs one win fewer; the others are grouped by need, and picking b
-    of a group of c to beat counts C(c, b) ways.  States are memoised for
-    the one call."""
+    one vertex's remaining games at a time (see _completions)."""
     if n < 1 or n % 2 == 0:
         raise ValueError("regular tournaments need odd n")
+    return _completions(((n - 1) // 2,) * n, {})
+
+
+def _splits(needs):
+    """The ways the first vertex of the sorted state `needs` can play the
+    others.  A state is the sorted multiset of wins each undecided vertex
+    still needs.  The vertex needing fewest, r, beats r of the others and
+    loses to the rest, each of which then needs one win fewer; the others
+    are grouped by need, and beating b of a group of c can be done in
+    C(c, b) ways.  Yields (groups, beaten, weight, next state): groups as
+    sorted (need, size) pairs, beaten[i] the number beaten in groups[i]."""
+    r, rest = needs[0], needs[1:]
+    groups = sorted(Counter(rest).items())
+    for beaten in product(*(range(c + 1) for _, c in groups)):
+        # an opponent that needs no more wins cannot beat the vertex
+        if sum(beaten) != r or any(need == 0 and b < c for (need, c), b in zip(groups, beaten)):
+            continue
+        left = []
+        for (need, c), b in zip(groups, beaten):
+            left += [need] * b + [need - 1] * (c - b)
+        weight = prod(comb(c, b) for (_, c), b in zip(groups, beaten))
+        yield groups, beaten, weight, tuple(sorted(left))
+
+
+def _completions(needs, memo):
+    """The number of ways to finish the games of the state `needs` (see
+    _splits), memoised in the caller's dict."""
+    if not needs:
+        return 1
+    if needs not in memo:
+        memo[needs] = sum(weight * _completions(left, memo) for *_, weight, left in _splits(needs))
+    return memo[needs]
+
+
+def uniform_semi_regular(rng, n, samples):
+    """samples tournaments drawn uniformly and independently from those on
+    the vertex set 0..n-1 with the out-degrees of
+    generators.semi_regular_tournament(n), the states of the reversal walk:
+    regular tournaments for odd n.
+
+    Sampling by counting (Jerrum, Valiant and Vazirani 1986) on the state
+    of labeled_regular_dp: the undecided vertex needing fewest wins, the
+    least such label, takes each split of its games with probability its
+    number of completions over the state's, then the opponents it beats
+    uniformly within each group of equal need.  For even n a sample is a
+    regular tournament on n+1 vertices with its last vertex deleted: the
+    draw starts from the state that tournament is in once the last vertex
+    has beaten 0..n/2-1 and lost to the rest, which leaves out-degree n/2
+    on 0..n/2-1 and n/2-1 on the rest.  One memo serves every sample of
+    the call; its cold build grows steeply with n, so n is at most 21."""
+    if not 1 <= n <= 21:
+        raise ValueError(f"the exact sampler takes 1 <= n <= 21, got {n}")
     memo = {}
-
-    def count(needs):
-        if not needs:
-            return 1
-        if needs in memo:
-            return memo[needs]
-        r, rest = needs[0], needs[1:]
-        groups = sorted(Counter(rest).items())
-        total = 0
-        for beaten in product(*(range(c + 1) for _, c in groups)):
-            # an opponent that needs no more wins cannot beat the vertex
-            if sum(beaten) != r or any(need == 0 and b < c for (need, c), b in zip(groups, beaten)):
-                continue
-            left = []
-            for (need, c), b in zip(groups, beaten):
-                left += [need] * b + [need - 1] * (c - b)
-            weight = prod(comb(c, b) for (_, c), b in zip(groups, beaten))
-            total += weight * count(tuple(sorted(left)))
-        memo[needs] = total
-        return total
-
-    return count(((n - 1) // 2,) * n)
+    drawn = []
+    for _ in range(samples):
+        need = [(n - 1) // 2 + (n % 2 == 0 and v < n // 2) for v in range(n)]
+        edges = []
+        undecided = list(range(n))
+        while undecided:
+            x = min(undecided, key=need.__getitem__)
+            undecided.remove(x)
+            state = (need[x], *sorted(need[v] for v in undecided))
+            pick = rng.randrange(_completions(state, memo))
+            for groups, beaten, weight, left in _splits(state):
+                pick -= weight * _completions(left, memo)
+                if pick < 0:
+                    break
+            members = [[v for v in undecided if need[v] == level] for level, _ in groups]
+            for group, b in zip(members, beaten):
+                chosen = set(rng.sample(group, b))
+                for v in group:
+                    if v in chosen:
+                        edges.append((x, v))
+                    else:
+                        edges.append((v, x))
+                        need[v] -= 1
+        drawn.append(OrientedGraph(n, edges))
+    return drawn
 
 
 def random_oriented(rng, n, density=2 / 3):

@@ -44,8 +44,10 @@ proposed with the same probability; a cyclic triangle is exactly three
 chain as drawing uniform vertex triples until one spans a cyclic
 triangle, with its own seeded realisations.  That triple-rejection chain
 accepts about a quarter of its trials ((n+1) / (4(n-2)) for odd n); this
-one accepts about half (see random_semi_regular for its cost).  The walk
-is assumed, not proven, to mix well; probes that use it are labelled as
+one accepts about half (see random_semi_regular for its cost).  How long
+the walk runs is measured, not proven: its default length is set from
+two-sample tests against the exact sampler oracles.uniform_semi_regular
+(see random_semi_regular), and probes that use it are labelled as
 sampled evidence.
 """
 
@@ -192,7 +194,7 @@ def enumerate_regular_tournaments(n):
     return [_relabelled(*classes[form]) for form in sorted(classes)]
 
 
-def random_semi_regular(n, seed=0, moves_per_pair=50):
+def random_semi_regular(n, seed=0, moves_per_pair=4):
     """Random semi-regular tournament from a seeded reversal walk.
 
     Starts at the deterministic semi-regular tournament on n vertices and
@@ -210,11 +212,35 @@ def random_semi_regular(n, seed=0, moves_per_pair=50):
     the same chain as rejection over uniform vertex triples, with its own
     seeded realisations.
 
+    Length: a reversal flips three pairs, so after M moves the number of
+    pairs oriented against the start has the parity of M.  The walk thus
+    has period 2; the default M = 4 n^2 is even, and the walk targets the
+    uniform law on the half of the score class at an even distance from
+    the start.  Swapping two vertices flips that parity and maps each half
+    onto the other, so each isomorphism class, and each statistic read at
+    vertex 0 or at the pair (0, 1) (swap two other vertices), has the same
+    law on both halves.  The default is four times the least length that
+    passed every two-sample Kolmogorov-Smirnov test (p > 0.001) of walks
+    against oracles.uniform_semi_regular, restricted to the same half, on
+    four labelled statistics: the orientation of (0, 1), the number of
+    pairs oriented against the start, and cyclic_edge_stat and
+    d_copy_counts at vertex 0.  With 4,000 walks and
+    4,000 exact samples at n = 9, 15, 21 and 16, every size failed at 0
+    moves per pair (p < 1e-280) and passed at 1, 2, 3, 4, 6 and 8 (least p
+    0.051, on cyclic_edge_stat at n = 16 and 1 move per pair, and 0.20
+    from 3 on); with 10,000 to 12,000 of each, n = 9, 10 and 16 passed at 1
+    (least p 0.53).  At n = 31, past the oracle, the same tests of 200
+    walks against 200 walks of 50 or 51 moves per pair (the same parity)
+    give p >= 0.06 from 1 move per pair on, and split R-hat (Gelman and
+    Rubin) over 16 seeds, reading each walk after every n^2 moves, is
+    0.95-1.03 over the first 4 readings and 1.00-1.01 over 32
+    (cyclic_edge_stat is constant on regular tournaments and left out).
+
     Cost: with c3 the number of cyclic triangles, a trial is accepted
     with probability 3 c3 / (n d+ d-), that is (n+1) / (2(n-1)) for odd n
     and (n+2) / (2n) for even n.  So a walk costs about twice as many
-    trials as moves, three draws each: with seed 0, 6,468 trials for the
-    4,050 moves at n = 9 and 90,356 for 48,050 at n = 31.  The draws are
+    trials as moves, three draws each: with seed 0, 514 trials for the
+    324 moves at n = 9 and 7,361 for 3,844 at n = 31.  The draws are
     truncated with math.trunc, which returns what int() does for finite
     non-negative floats at about a third of the cost, and the factors
     are kept as floats, so that the interpreter multiplies two floats
@@ -288,10 +314,14 @@ def turanability_probe(pattern, sizes, mode="exhaustive", samples=100, seed=0, b
     mode "sample" draws seeded semi-regular tournaments, host i from seed
     f"{seed}:{i}".  Findings are finite evidence only; nothing is claimed
     beyond the sizes listed.  A host that misses the pattern refutes (see
-    _outcome).
+    _outcome).  Turanability concerns regular tournaments only, so every
+    size must be odd in both modes: a sampled host on an even number of
+    vertices is only semi-regular, and a miss there would refute nothing.
     """
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
+    if any(n % 2 == 0 for n in sizes):
+        raise ValueError("regular tournaments need odd n")
     per_n = []
     for n in sizes:
         if mode == "exhaustive":
@@ -332,10 +362,13 @@ def turanability_probe(pattern, sizes, mode="exhaustive", samples=100, seed=0, b
 def tileability_probe(pattern, sizes, samples=20, seed=0, budget=None):
     """Evidence report: fraction of sampled semi-regular tournaments with a
     perfect tiling by the pattern, host i drawn from seed f"{seed}:{i}".
-    Sizes not divisible by the pattern order are reported as skipped.  A
-    host with no perfect tiling refutes (see _outcome)."""
+    Sizes not divisible by the pattern order are reported as skipped, but
+    at least one size must be tested.  A host with no perfect tiling
+    refutes (see _outcome)."""
     if pattern.n == 0:
         raise ValueError("pattern must have at least one vertex")
+    if all(n % pattern.n for n in sizes):
+        raise ValueError(f"no listed size is divisible by the pattern order {pattern.n}")
     per_n = []
     for n in sizes:
         if n % pattern.n:

@@ -314,6 +314,14 @@ def test_search_probe_exhaustive_rejects_sampling_flags(paths, capsys):
     assert (code, doc["seed"], doc["per_n"][0]["population"]) == (0, "3", 2)
 
 
+def test_search_probe_rejects_even_sizes(paths, capsys):
+    # Turanability concerns regular tournaments: a sampled host on 6
+    # vertices is only semi-regular, so its misses refute nothing
+    argv = ["search", "probe", "--pattern", paths["s"], "--n", "7,6"]
+    assert run(capsys, *argv, "--mode", "sample", "--samples", "40") == (2, "")
+    assert run(capsys, *argv) == (2, "")
+
+
 def test_search_tile_probe(paths, capsys):
     code, doc = run_json(
         capsys, "search", "tile-probe", "--pattern", paths["d"], "--n", "8,10", "--samples", "3"
@@ -323,6 +331,9 @@ def test_search_tile_probe(paths, capsys):
     assert by_n[8]["tiled"] == 3
     assert "skipped" in by_n[10]
     assert doc["outcome"] == "found"
+    # a list whose every size is skipped tests nothing: a usage error
+    argv = ["search", "tile-probe", "--pattern", paths["d"], "--n", "10,14", "--samples", "3"]
+    assert run(capsys, *argv) == (2, "")
 
 
 def test_search_tile_probe_exit_codes(paths, tmp_path, capsys):

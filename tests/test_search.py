@@ -2,15 +2,16 @@
 
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations
-from math import factorial
+from math import exp, factorial, sqrt
 
 import pytest
 
 from oriograph.core import OrientedGraph, isomorphic_brute, serialize
 from oriograph.embed import count_embeddings, find_embedding
 from oriograph.generators import cycle_power, d_abc, f_r, graph_s, rotational, semi_regular_tournament
-from oriograph import generators, oracles, search, verify
+from oriograph import analysis, generators, oracles, search, verify
 from oriograph.oracles import random_oriented, random_tournament
 from oriograph.search import (
     _canonical_perm_and_form,
@@ -85,7 +86,7 @@ def test_canonical_search_work_count():
     # prefixes kept, summed over the levels; the branch and bound this
     # replaced placed 640 and 15,334
     _, _, qr7 = _canonical_perm_and_form(rotational(7, [1, 2, 4]))
-    _, _, regular9 = _canonical_perm_and_form(random_semi_regular(9, seed="c9:0"))
+    _, _, regular9 = _canonical_perm_and_form(random_semi_regular(9, "c9:0", moves_per_pair=50))
     assert (qr7, regular9) == (133, 125)
 
 
@@ -136,8 +137,9 @@ def canonical_digest(graphs):
 def test_canonical_outputs_are_pinned():
     # (form, kept) past the oracle's reach, recorded before the level loop
     # became a bitmask refinement: regular 11-vertex hosts, and oriented
-    # graphs with non-edges on 9 and 10 vertices
-    semi = [random_semi_regular(11, seed=f"c11:{i}") for i in range(30)]
+    # graphs with non-edges on 9 and 10 vertices; the hosts are walks of the
+    # length that was the default then
+    semi = [random_semi_regular(11, f"c11:{i}", moves_per_pair=50) for i in range(30)]
     rng = random.Random("canon-sparse")
     sparse = [random_oriented(rng, rng.choice((9, 10))) for _ in range(20)]
     assert all(g.edge_count < g.n * (g.n - 1) // 2 for g in sparse)
@@ -232,24 +234,25 @@ def test_sampler_properties():
         random_semi_regular(2)
 
 
-# Seeded realisations of the walk, committed so that a rewrite that
-# changes the samples (while keeping them semi-regular) fails here.
+# Seeded realisations of the walk at its default length, committed so that
+# a rewrite that changes the samples (while keeping them semi-regular)
+# fails here.
 PINNED_WALKS = {
     (3, 0): (2, 4, 1),
     (3, "probe:21:7"): (2, 4, 1),
-    (4, 0): (12, 9, 2, 4),
-    (4, "probe:21:7"): (12, 9, 2, 4),
-    (9, 0): (456, 29, 113, 180, 353, 323, 394, 54, 142),
-    (9, "probe:21:7"): (424, 305, 291, 102, 77, 464, 135, 30, 216),
-    (10, 0): (110, 484, 936, 914, 647, 216, 284, 833, 561, 99),
-    (10, "probe:21:7"): (794, 496, 587, 242, 868, 645, 417, 277, 556, 202),
+    (4, 0): (6, 12, 8, 1),
+    (4, "probe:21:7"): (6, 12, 8, 1),
+    (9, 0): (210, 456, 163, 53, 326, 275, 300, 120, 141),
+    (9, "probe:21:7"): (278, 312, 114, 197, 232, 393, 163, 263, 92),
+    (10, 0): (342, 628, 744, 899, 428, 585, 792, 99, 166, 401),
+    (10, "probe:21:7"): (458, 968, 707, 868, 79, 23, 928, 312, 564, 177),
 }
 # sha256 of the out-rows written in decimal and joined by commas
 PINNED_WALK_DIGESTS = {
-    (17, 0): "94f6c4863703b76a009d40d3127a1e2d9fa87d9d6779e6069fc066d7e06456f5",
-    (17, "probe:21:7"): "2c390d1605b76bbd468a58cb93a407f4ed935d8056e0d7e47c40046565c8388d",
-    (31, 0): "56433aa59e930f003bc83e102b6412df4780a5f3d2f31834c82683cfe7e1a097",
-    (31, "probe:21:7"): "b1ade6bb456d47d1e884a11a6896d50e9018c0882b184725a3394f0276b51879",
+    (17, 0): "f459d3b69423e01fc3ad4d85faba6416041f5ba14fc71e387e1af41057c4da28",
+    (17, "probe:21:7"): "5bab2e3351f9ec5d7c454f1d6e561cbea590baa7e670596a4e8b3fd05645b642",
+    (31, 0): "12850b063fdbd2559c54e61325d06d573a10dd5b7f577467a89f7c79f1ae6309",
+    (31, "probe:21:7"): "b68b1b1fed36fbf93d8051be930ae5bb188a0d19c776e64a000d22de395b9e25",
 }
 
 
@@ -270,9 +273,10 @@ def test_sampler_moves_per_pair():
 
 
 def test_sampler_class_frequencies_at_7():
-    # the walk's stationary law is uniform over labeled regular tournaments,
-    # so the three classes on 7 vertices occur in the proportions
-    # 7!/|Aut| = 720 : 1680 : 240
+    # the walk's law at an even length is uniform over the labeled regular
+    # tournaments at an even distance from the start, which hold half of
+    # each class, so the three classes on 7 vertices occur in the
+    # proportions 7!/|Aut| = 720 : 1680 : 240
     reps = enumerate_regular_tournaments(7)
     weight = {}
     for g in reps:
@@ -287,6 +291,92 @@ def test_sampler_class_frequencies_at_7():
         (counts[f] - samples * w / total) ** 2 / (samples * w / total) for f, w in weight.items()
     )
     assert chi2 < 13.82, (counts, chi2)  # p = 0.001 at 2 degrees of freedom
+
+
+def test_exact_sampler_is_uniform_at_5():
+    # every one of the 24 labelled regular tournaments on 5 vertices
+    # (OEIS A007079) equally often
+    samples = 2400
+    draws = oracles.uniform_semi_regular(random.Random("exact-5"), 5, samples)
+    counts = Counter(g.out_rows for g in draws)
+    assert len(counts) == oracles.labeled_regular_dp(5) == 24
+    expected = samples / 24
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert chi2 < 49.73, (counts, chi2)  # p = 0.001 at 23 degrees of freedom
+
+
+def test_exact_sampler_draws_the_walk_states():
+    # regular at odd n; at even n semi-regular with the out-degrees of the
+    # walk's start, n/2 on 0..n/2-1 and n/2 - 1 on the rest
+    rng = random.Random("exact-scores")
+    for n in range(1, 14):
+        start = semi_regular_tournament(n)
+        for g in oracles.uniform_semi_regular(rng, n, 4):
+            kind = g.classify()
+            assert kind.is_regular if n % 2 else kind.is_semi_regular
+            assert [g.out_degree(v) for v in range(n)] == [start.out_degree(v) for v in range(n)]
+    for bad in (0, 22):
+        with pytest.raises(ValueError):
+            oracles.uniform_semi_regular(rng, bad, 1)
+
+
+def test_exact_sampler_never_calls_the_walk(monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("the oracle called the walk it checks")
+
+    monkeypatch.setattr(search, "random_semi_regular", walk)
+    assert "random_semi_regular" not in vars(oracles)
+    assert len(oracles.uniform_semi_regular(random.Random(0), 10, 3)) == 3
+
+
+def ks_pvalue(xs, ys):
+    """Two-sample Kolmogorov-Smirnov p-value from the asymptotic law of
+    the statistic; on discrete data it is conservative."""
+    xs, ys = sorted(xs), sorted(ys)
+    i = j = 0
+    d = 0.0
+    while i < len(xs) and j < len(ys):
+        v = min(xs[i], ys[j])
+        while i < len(xs) and xs[i] == v:
+            i += 1
+        while j < len(ys) and ys[j] == v:
+            j += 1
+        d = max(d, abs(i / len(xs) - j / len(ys)))
+    ne = len(xs) * len(ys) / (len(xs) + len(ys))
+    lam = (sqrt(ne) + 0.12 + 0.11 / sqrt(ne)) * d
+    if lam < 0.2:
+        return 1.0
+    return min(1.0, 2 * sum((-1) ** (k - 1) * exp(-2 * k * k * lam * lam) for k in range(1, 101)))
+
+
+def labelled_statistics(g, start):
+    """The orientation of (0, 1), the number of pairs oriented against
+    the walk's start, and the cyclic-edge statistic and strong-4-set count
+    at vertex 0.  The cyclic-edge statistic is constant on regular
+    tournaments."""
+    against = sum((a ^ b).bit_count() for a, b in zip(g.out_rows, start.out_rows)) // 2
+    return g.has_edge(0, 1), against, analysis.cyclic_edge_stat(g, 0), analysis.d_copy_counts(g)[0]
+
+
+def test_walk_matches_the_exact_sampler():
+    # Each reversal flips three pairs, so every walk of m moves orients a
+    # number of pairs of m's parity against the start, and is compared with
+    # the exact samples of that parity.  Swapping two vertices other than 0
+    # and 1 flips the parity and keeps the other three statistics, so on
+    # those the halves agree.  The walk passes at its default length and
+    # fails without moves.
+    for n in (9, 15):
+        start = semi_regular_tournament(n)
+        exact = [labelled_statistics(g, start)
+                 for g in oracles.uniform_semi_regular(random.Random(f"two-sample:{n}"), n, 800)]
+        for moves, passes in (({}, True), ({"moves_per_pair": 0}, False)):
+            walk = [labelled_statistics(random_semi_regular(n, f"two-sample:{i}", **moves), start)
+                    for i in range(400)]
+            parity = {w[1] % 2 for w in walk}
+            assert len(parity) == 1
+            half = [e for e in exact if e[1] % 2 in parity]
+            p = min(ks_pvalue(a, b) for a, b in zip(zip(*walk), zip(*half)))
+            assert (p > 0.001) == passes, (n, moves, p)
 
 
 def test_turanability_probe_exhaustive():
@@ -323,6 +413,14 @@ def test_turanability_probe_sampled():
     assert report["outcome"] == "inconclusive"
 
 
+def test_turanability_probe_rejects_even_sizes():
+    # a sampled host on an even number of vertices is only semi-regular, so
+    # a miss there would refute nothing about regular tournaments
+    for mode in ("sample", "exhaustive"):
+        with pytest.raises(ValueError, match="odd n"):
+            turanability_probe(graph_s(), sizes=(7, 6), mode=mode, samples=40)
+
+
 def test_tileability_probe():
     d, _ = d_abc(1, 1, 2)
     report = tileability_probe(d, sizes=(8, 10), samples=4, seed=1)
@@ -333,6 +431,10 @@ def test_tileability_probe():
     assert report["outcome"] == "found"
     report = tileability_probe(d, sizes=(8,), samples=2, budget=1)
     assert report["outcome"] == "inconclusive"
+    # sizes that are all skipped test nothing
+    for sizes in ((10, 14), ()):
+        with pytest.raises(ValueError, match="divisible"):
+            tileability_probe(d, sizes=sizes, samples=3)
 
 
 # the evidence checks of verify, run on small corpora
