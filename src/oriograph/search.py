@@ -307,32 +307,39 @@ def random_semi_regular(n, seed=0, moves_per_pair=4):
     return OrientedGraph.from_out_rows(n, rows)
 
 
-def turanability_probe(pattern, sizes, mode="exhaustive", samples=100, seed=0, budget=None):
-    """Evidence report: which tournaments of the given sizes contain the pattern.
+def regular_classes(n, samples, seed):
+    """The classes of enumerate_regular_tournaments(n), tagged class-i; samples, seed unused."""
+    return [(f"class-{i}", g) for i, g in enumerate(enumerate_regular_tournaments(n))]
 
-    mode "exhaustive" runs over every regular-tournament class (odd n <= 11);
-    mode "sample" draws seeded semi-regular tournaments, host i from seed
-    f"{seed}:{i}".  Findings are finite evidence only; nothing is claimed
-    beyond the sizes listed.  A host that misses the pattern refutes (see
-    _outcome).  Turanability concerns regular tournaments only, so every
-    size must be odd in both modes: a sampled host on an even number of
-    vertices is only semi-regular, and a miss there would refute nothing.
-    """
-    if mode not in ("exhaustive", "sample"):
+
+def walk_samples(n, samples, seed):
+    """Host sample-i, for i < samples, is the reversal walk on n vertices seeded "seed:i"."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    return [(f"sample-{i}", random_semi_regular(n, seed=f"{seed}:{i}")) for i in range(samples)]
+
+
+# the probes' host sources by name: each maps (n, samples, seed) to (tag, graph) pairs
+POPULATIONS = {"exhaustive": regular_classes, "sample": walk_samples}
+
+
+def turanability_probe(pattern, sizes, mode="exhaustive", samples=100, seed=0, budget=None):
+    """Evidence report: which hosts of POPULATIONS[mode] (regular_classes or
+    walk_samples) at the given sizes contain the pattern.  Findings are finite
+    evidence; nothing is claimed beyond the sizes listed.  A host that misses
+    the pattern refutes (see _outcome).  Turanability concerns regular
+    tournaments, so at least one size is needed and each must be odd: a
+    sampled host on an even number of vertices is only semi-regular."""
+    if mode not in POPULATIONS:
         raise ValueError(f"unknown mode {mode!r}")
-    if any(n % 2 == 0 for n in sizes):
-        raise ValueError("regular tournaments need odd n")
+    if not sizes or any(n % 2 == 0 for n in sizes):
+        raise ValueError("regular tournaments need odd n, and at least one size")
     per_n = []
     for n in sizes:
-        if mode == "exhaustive":
-            population = enumerate_regular_tournaments(n)
-            tags = [f"class-{i}" for i in range(len(population))]
-        else:
-            population = [random_semi_regular(n, seed=f"{seed}:{i}") for i in range(samples)]
-            tags = [f"sample-{i}" for i in range(samples)]
+        population = POPULATIONS[mode](n, samples, seed)
         misses = []
         gave_up = []
-        for tag, g in zip(tags, population):
+        for tag, g in population:
             try:
                 if find_embedding(pattern, g, budget=budget) is None:
                     misses.append({"tag": tag, "graph": serialize(g)})
@@ -360,11 +367,9 @@ def turanability_probe(pattern, sizes, mode="exhaustive", samples=100, seed=0, b
 
 
 def tileability_probe(pattern, sizes, samples=20, seed=0, budget=None):
-    """Evidence report: fraction of sampled semi-regular tournaments with a
-    perfect tiling by the pattern, host i drawn from seed f"{seed}:{i}".
-    Sizes not divisible by the pattern order are reported as skipped, but
-    at least one size must be tested.  A host with no perfect tiling
-    refutes (see _outcome)."""
+    """Evidence report: which hosts of POPULATIONS["sample"] (see walk_samples)
+    have a perfect tiling by the pattern.  Sizes the pattern order does not divide
+    are skipped, but one must be tested; a host with no tiling refutes (see _outcome)."""
     if pattern.n == 0:
         raise ValueError("pattern must have at least one vertex")
     if all(n % pattern.n for n in sizes):
@@ -375,19 +380,14 @@ def tileability_probe(pattern, sizes, samples=20, seed=0, budget=None):
             per_n.append({"n": n, "skipped": "pattern order does not divide n"})
             continue
         outcomes = []
-        tiled = 0
-        for i in range(samples):
-            host = random_semi_regular(n, seed=f"{seed}:{i}")
+        for tag, host in POPULATIONS["sample"](n, samples, seed):
             result = perfect_tiling(pattern, host, budget=budget)
+            outcome = {"tag": tag, "mode": result.mode}
             if result.mode == FOUND:
-                tiled += 1
-                outcomes.append(
-                    {"tag": f"sample-{i}", "mode": result.mode,
-                     "copies": [list(c) for c in result.tiling.copies]}
-                )
-            else:
-                outcomes.append({"tag": f"sample-{i}", "mode": result.mode})
-        per_n.append({"n": n, "samples": samples, "tiled": tiled, "outcomes": outcomes})
+                outcome["copies"] = [list(c) for c in result.tiling.copies]
+            outcomes.append(outcome)
+        tiled = sum(o["mode"] == FOUND for o in outcomes)
+        per_n.append({"n": n, "samples": len(outcomes), "tiled": tiled, "outcomes": outcomes})
     modes = {o["mode"] for e in per_n for o in e.get("outcomes", ())}
     return {
         "pattern": serialize(pattern),

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, JSON output, file round trips."""
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -320,6 +321,43 @@ def test_search_probe_rejects_even_sizes(paths, capsys):
     argv = ["search", "probe", "--pattern", paths["s"], "--n", "7,6"]
     assert run(capsys, *argv, "--mode", "sample", "--samples", "40") == (2, "")
     assert run(capsys, *argv) == (2, "")
+
+
+# the sha256 of each probe's --json stdout: copies, tags and misses, not only counts
+PROBE_JSON_SHA256 = [
+    (
+        ["probe", "--pattern", "s", "--n", "5,7,9"],
+        "4218b3e6669b2d281845212434ea4406a5763d918315b2495ae55af4aa8d3092",
+    ),
+    (
+        ["probe", "--pattern", "c62", "--n", "5,7"],
+        "269e7c6006ed1a385a553c1fb03d4bc120292012d75dc89aa970525baf4aab01",
+    ),
+    (
+        ["probe", "--pattern", "s", "--mode", "sample", "--n", "9,11", "--samples", "5",
+         "--seed", "3"],
+        "69efd0d6631887564cfcf4d564db2bd012c65354b3ce02972c55cec89f9b99c5",
+    ),
+    (
+        ["probe", "--pattern", "s", "--mode", "sample", "--n", "9", "--samples", "3",
+         "--budget", "1"],
+        "4c252d7cfafba2cb95fe4ae796b4cf5c877f561bfa593e0cd0cbc82e6ab63b2c",
+    ),
+    (
+        ["tile-probe", "--pattern", "d", "--n", "8,10,12", "--samples", "4", "--seed", "1"],
+        "8d9c85459fa8c4e01080cd75d3dbc6bef623fa08f6fede88cacee65a61f1e780",
+    ),
+    (
+        ["tile-probe", "--pattern", "d", "--n", "8", "--samples", "2", "--budget", "1"],
+        "16e30165a46a535f5e7bf373d8c1f1ac392a7a4c9753813631495353c9641a47",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PROBE_JSON_SHA256)
+def test_search_probe_json_is_pinned(paths, capsys, argv, digest):
+    _, out = run(capsys, "search", *[paths.get(a, a) for a in argv], "--json")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_search_tile_probe(paths, capsys):

@@ -21,6 +21,7 @@ from oriograph.search import (
     random_semi_regular,
     tileability_probe,
     turanability_probe,
+    walk_samples,
 )
 
 
@@ -415,10 +416,40 @@ def test_turanability_probe_sampled():
 
 def test_turanability_probe_rejects_even_sizes():
     # a sampled host on an even number of vertices is only semi-regular, so
-    # a miss there would refute nothing about regular tournaments
+    # a miss there would refute nothing about regular tournaments; and a
+    # probe with no size would report "found" after testing nothing
     for mode in ("sample", "exhaustive"):
-        with pytest.raises(ValueError, match="odd n"):
-            turanability_probe(graph_s(), sizes=(7, 6), mode=mode, samples=40)
+        for sizes in ((7, 6), ()):
+            with pytest.raises(ValueError, match="odd n"):
+                turanability_probe(graph_s(), sizes=sizes, mode=mode, samples=40)
+
+
+def test_probes_reject_an_empty_sample():
+    # zero samples would report "found" after testing no host
+    with pytest.raises(ValueError, match="samples"):
+        turanability_probe(graph_s(), sizes=(9,), mode="sample", samples=0)
+    with pytest.raises(ValueError, match="samples"):
+        tileability_probe(d_abc(1, 1, 2)[0], sizes=(8,), samples=0)
+
+
+def test_walk_samples_are_the_seeded_walks():
+    expected = [(f"sample-{i}", random_semi_regular(11, seed=f"x:{i}")) for i in range(3)]
+    assert walk_samples(11, 3, "x") == expected
+
+
+def test_one_population_reaches_both_probes(monkeypatch):
+    # a new host source is one entry of POPULATIONS, not a change to either probe
+    def fake(n, samples, seed):
+        g = semi_regular_tournament(n)
+        return [("fake-0", g), ("fake-1", relabel(g, list(range(n))[::-1]))]
+
+    monkeypatch.setitem(search.POPULATIONS, "sample", fake)
+    report = turanability_probe(graph_s(), sizes=(9,), mode="sample", samples=40, budget=1)
+    entry = report["per_n"][0]
+    assert (entry["population"], entry["inconclusive"]) == (2, ["fake-0", "fake-1"])
+    report = tileability_probe(d_abc(1, 1, 2)[0], sizes=(8,), samples=40)
+    assert [o["tag"] for o in report["per_n"][0]["outcomes"]] == ["fake-0", "fake-1"]
+    assert report["per_n"][0]["samples"] == 2
 
 
 def test_tileability_probe():
