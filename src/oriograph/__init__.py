@@ -22,7 +22,7 @@ from .embed import (
     find_embedding,
     iter_embeddings,
 )
-from .errors import BudgetExceededError, EdgeError, ParseError, ResourceLimitError
+from .errors import BudgetExceededError, EdgeError, ParseError, PartError, ResourceLimitError
 from .generators import (
     TskWitness,
     blow_up,

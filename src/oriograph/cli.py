@@ -81,10 +81,12 @@ def cmd_generate(args):
     built = build(*args.params)
     graph, partition = built if isinstance(built, tuple) else (built, None)
     if args.output:
+        sidecar = os.path.splitext(args.output)[0] + ".parts"
+        if partition is not None and sidecar == args.output:
+            raise ValueError(f"{args.output} would be overwritten by its .parts sidecar")
         write_graph(args.output, graph)
         doc = {"written": args.output}
         if partition is not None:
-            sidecar = os.path.splitext(args.output)[0] + ".parts"
             write_partition(sidecar, partition)
             doc["parts"] = sidecar
         log.info("wrote %s (n=%d, m=%d)", args.output, graph.n, graph.edge_count)

@@ -18,10 +18,16 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import EdgeError, ParseError
+from .errors import EdgeError, ParseError, PartError
 
-# Constructions that can blow up in size refuse to go past this many vertices.
+# No graph or partition, built or read, has more than this many vertices.
 MAX_VERTICES = 1024
+
+
+def check_order(n):
+    """Refuse a vertex count outside 0..MAX_VERTICES, before any work sized by it."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
 
 
 def bits(mask):
@@ -38,8 +44,7 @@ class OrientedGraph:
     __slots__ = ("n", "out_rows", "in_rows", "edge_count")
 
     def __init__(self, n, edges=()):
-        if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        check_order(n)
         out = [0] * n
         inr = [0] * n
         m = 0
@@ -64,6 +69,7 @@ class OrientedGraph:
     @classmethod
     def from_out_rows(cls, n, rows):
         """Build from per-vertex out-neighbour masks, validating antisymmetry."""
+        check_order(n)
         g = object.__new__(cls)
         if len(rows) != n:
             raise ValueError("row count does not match n")
@@ -231,24 +237,25 @@ class Partition:
     __slots__ = ("parts", "masks", "ground_mask", "_label")
 
     def __init__(self, parts):
-        pts = tuple(frozenset(p) for p in parts)
-        if not pts:
-            raise ValueError("a partition needs at least one part")
         masks = []
         ground = 0
         label = {}
-        for i, part in enumerate(pts):
+        for i, part in enumerate(parts):
             mask = 0
             for v in part:
-                if v < 0:
-                    raise ValueError(f"negative vertex {v}")
+                if not 0 <= v < MAX_VERTICES:
+                    raise PartError(i, f"vertex {v} out of range 0..{MAX_VERTICES - 1}")
+                if mask >> v & 1:
+                    raise PartError(i, f"vertex {v} repeated inside a part")
                 if ground >> v & 1:
-                    raise ValueError(f"vertex {v} appears in two parts")
+                    raise PartError(i, f"vertex {v} appears in two parts")
                 mask |= 1 << v
                 label[v] = i
             masks.append(mask)
             ground |= mask
-        self.parts = pts
+        if not masks:
+            raise ValueError("a partition needs at least one part")
+        self.parts = tuple(frozenset(bits(mask)) for mask in masks)
         self.masks = tuple(masks)
         self.ground_mask = ground
         self._label = label
@@ -333,8 +340,8 @@ def parse(text):
         n, m = int(fields[0]), int(fields[1])
     except ValueError:
         raise ParseError(lineno, f"header must be two integers, got {header!r}") from None
-    if n < 0 or m < 0:
-        raise ParseError(lineno, "n and m must be nonnegative")
+    if m < 0:
+        raise ParseError(lineno, "m must be nonnegative")
     body_rows = rows[1:]
     if len(body_rows) != m:
         raise ParseError(lineno, f"header announces {m} edges, file has {len(body_rows)}")
@@ -347,11 +354,13 @@ def parse(text):
             edges.append((int(fields[0]), int(fields[1])))
         except ValueError:
             raise ParseError(lineno, f"edge line must be two integers, got {body!r}") from None
-    # the constructor checks the edges themselves; its refusal names the edge's position
+    # the constructor checks n and the edges; a refused edge is named by its position
     try:
         return OrientedGraph(n, edges)
     except EdgeError as exc:
         raise ParseError(body_rows[exc.index][0], str(exc)) from None
+    except ValueError as exc:
+        raise ParseError(rows[0][0], str(exc)) from None
 
 
 def serialize(graph):
@@ -364,23 +373,23 @@ def serialize(graph):
 def parse_partition(text):
     """Parse .parts text: one line per part, space-separated vertex ids."""
     parts = []
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = _strip(raw)
         if not body:
             continue
         try:
-            part = [int(f) for f in body.split()]
+            parts.append([int(f) for f in body.split()])
         except ValueError:
             raise ParseError(lineno, f"part line must be integers, got {body!r}") from None
-        if len(set(part)) != len(part):
-            raise ParseError(lineno, "repeated vertex inside a part")
-        parts.append(part)
+        lines.append(lineno)
     if not parts:
         raise ParseError(1, "partition file has no parts")
+    # the constructor checks the vertices; a refused part is named by its position
     try:
         return Partition(parts)
-    except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
+    except PartError as exc:
+        raise ParseError(lines[exc.index], str(exc)) from None
 
 
 def serialize_partition(partition):

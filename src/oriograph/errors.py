@@ -22,6 +22,14 @@ class EdgeError(ValueError):
         super().__init__(message)
 
 
+class PartError(ValueError):
+    """Partition refused a part. Carries its 0-based position in the part list."""
+
+    def __init__(self, index, message):
+        self.index = index
+        super().__init__(message)
+
+
 class BudgetExceededError(Exception):
     """A backtracking search hit its node-expansion cap before finishing."""
 

@@ -8,23 +8,22 @@ cross pattern but make the parts slightly unbalanced, which blocks
 perfect tilings by divisibility while keeping the minimum semi-degree as
 large as possible.
 
-Semi-regular internal tournaments are built deterministically: an odd
-part uses the rotational tournament on residues 1..(m-1)/2, an even part
-uses the half circulant (residues 1..m/2-1 plus the diameter pairs
-oriented low index -> high index), whose highest out-degree vertices are
-exactly the first m/2 positions.
+Every family but graph_s is built as out-rows through
+OrientedGraph.from_out_rows.  The row builders (transitive, _circulant,
+_cyclic_parts and blow_up) call core.check_order before any work sized
+by the order, so an order the package refuses costs no memory.
 """
 
 from __future__ import annotations
 
-from .core import MAX_VERTICES, OrientedGraph, Partition, Record
+from .core import OrientedGraph, Partition, Record, bits, check_order
 
 
 def transitive(n):
     """Transitive tournament: i -> j iff i < j."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return OrientedGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    check_order(n)
+    full = (1 << n) - 1
+    return OrientedGraph.from_out_rows(n, [full ^ ((2 << i) - 1) for i in range(n)])
 
 
 def cycle_power(k, length):
@@ -33,32 +32,33 @@ def cycle_power(k, length):
         raise ValueError("cycle power needs k >= 3")
     if not 1 <= length <= (k - 1) // 2:
         raise ValueError(f"need 1 <= l <= (k-1)//2, got l={length} for k={k}")
-    return rotational(k, range(1, length + 1), _allow_even=True)
+    return OrientedGraph.from_out_rows(k, _circulant(k, range(1, length + 1)))
 
 
-def rotational(n, residues, _allow_even=False):
+def rotational(n, residues):
     """i -> j iff (j - i) mod n lies in the residue set.
 
     The residue set may not contain a residue together with its negation,
     otherwise some pair would be oriented both ways.
     """
     res = sorted(set(residues))
-    if not _allow_even and n % 2 == 0:
+    if n % 2 == 0:
         raise ValueError("rotational construction needs odd n")
     for r in res:
         if not 1 <= r <= n - 1:
             raise ValueError(f"residue {r} out of range 1..{n - 1}")
         if (n - r) % n in res:
             raise ValueError(f"residues {r} and {n - r} would orient a pair both ways")
-    rows = []
-    base = 0
-    for r in res:
-        base |= 1 << r
+    return OrientedGraph.from_out_rows(n, _circulant(n, res))
+
+
+def _circulant(n, residues):
+    """Out-rows on vertices 0..n-1 with i -> j iff (j - i) mod n lies in
+    residues, distinct values in 1..n-1."""
+    check_order(n)
+    base = sum(1 << r for r in residues)
     wrap = (1 << n) - 1
-    for i in range(n):
-        row = (base << i) & wrap | base >> (n - i)
-        rows.append(row)
-    return OrientedGraph.from_out_rows(n, rows)
+    return [(base << i) & wrap | base >> (n - i) for i in range(n)]
 
 
 def graph_s():
@@ -91,23 +91,10 @@ def f_r(r):
     """
     if r < 1:
         raise ValueError("level must be at least 1")
-    n = 3**r
-    if n > MAX_VERTICES:
-        raise ValueError(f"3^{r} = {n} exceeds the {MAX_VERTICES}-vertex cap")
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            di, dj = i, j
-            power = n // 3
-            while di // power == dj // power:
-                di %= power
-                dj %= power
-                power //= 3
-            if (dj // power - di // power) % 3 == 1:
-                edges.append((i, j))
-            else:
-                edges.append((j, i))
-    return OrientedGraph(n, edges)
+    tower = transitive(1)  # level 0: one vertex
+    for _ in range(r):
+        tower = _cyclic_parts((tower.n,) * 3, lambda size, copy=tower: copy)[0]
+    return tower
 
 
 def blow_up(base, t):
@@ -118,36 +105,28 @@ def blow_up(base, t):
     if t < 1:
         raise ValueError("class size must be positive")
     n = base.n * t
-    if n > MAX_VERTICES:
-        raise ValueError(f"{base.n} * {t} = {n} exceeds the {MAX_VERTICES}-vertex cap")
-    edges = [
-        (i * t + p, j * t + q)
-        for i, j in base.edges()
-        for p in range(t)
-        for q in range(t)
-    ]
-    parts = [range(i * t, (i + 1) * t) for i in range(base.n)]
-    return OrientedGraph(n, edges), Partition(parts)
+    check_order(n)
+    # first, so that a base with no vertex is refused before t is used
+    partition = Partition([range(i * t, (i + 1) * t) for i in range(base.n)])
+    block = (1 << t) - 1  # the vertices of class 0
+    rows = []
+    for row in base.out_rows:
+        rows.extend([sum(block << j * t for j in bits(row))] * t)
+    return OrientedGraph.from_out_rows(n, rows), partition
 
 
 def semi_regular_tournament(m):
     """Deterministic semi-regular tournament on m vertices.
 
-    Odd m: rotational with residues 1..(m-1)/2.  Even m: residues
-    1..m/2-1 plus the m/2 diameter pairs oriented low -> high, so the
-    vertices of highest out-degree are exactly 0..m/2-1.
+    The circulant with residues 1..(m-1)/2 for odd m (rotational), and
+    1..m/2-1 for even m plus the m/2 diameter pairs oriented low -> high,
+    so the vertices of highest out-degree are exactly 0..m/2-1.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m <= 1:
-        return OrientedGraph(m)
-    if m % 2:
-        return rotational(m, range(1, (m - 1) // 2 + 1))
-    edges = [
-        (i, (i + r) % m) for i in range(m) for r in range(1, m // 2)
-    ]
-    edges.extend((i, i + m // 2) for i in range(m // 2))
-    return OrientedGraph(m, edges)
+    rows = _circulant(m, range(1, (m + 1) // 2))
+    if m % 2 == 0:
+        for i in range(m // 2):
+            rows[i] |= 1 << (i + m // 2)
+    return OrientedGraph.from_out_rows(m, rows)
 
 
 class TskWitness(Record):
@@ -177,8 +156,6 @@ def t_sk(s, k):
     q = s * (k + 1)
     if q % 2:
         raise ValueError(f"s(k+1) = {q} must be even")
-    if 3 * q > MAX_VERTICES:
-        raise ValueError(f"3s(k+1) = {3 * q} exceeds the {MAX_VERTICES}-vertex cap")
     graph, partition = c3_barrier(q)
     half = q // 2
     o2, o3 = q - 1, 2 * q - 1  # the first vertices of parts 2 and 3
@@ -204,8 +181,6 @@ def c3_barrier(n):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if 3 * n > MAX_VERTICES:
-        raise ValueError(f"3n = {3 * n} exceeds the {MAX_VERTICES}-vertex cap")
     return _cyclic_parts((n - 1, n, n + 1), semi_regular_tournament)
 
 
@@ -214,6 +189,7 @@ def _cyclic_parts(sizes, inner):
     inner(sizes[p]), and every cross edge running part 1 -> part 2 ->
     part 3 -> part 1.  Returns (graph, partition)."""
     bounds = [0, sizes[0], sizes[0] + sizes[1], sum(sizes)]
+    check_order(bounds[3])
     rows = []
     for p in range(3):
         lo = bounds[p]

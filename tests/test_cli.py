@@ -54,6 +54,13 @@ def test_generate_writes_graph_and_sidecar(tmp_path, capsys):
     assert g.n == 12
     parts = read_partition(str(tmp_path / "w.parts"))
     assert sorted(len(p) for p in parts.parts) == [3, 4, 5]
+    # a .parts output would be overwritten by its own sidecar: refused before writing
+    target = tmp_path / "g.parts"
+    assert run(capsys, "generate", "t-sk", "2", "1", "-o", str(target)) == (2, "")
+    assert not target.exists()
+    # a family without a partition writes no sidecar, so the name is free
+    assert run(capsys, "generate", "transitive", "3", "-o", str(target)) == (0, "")
+    assert read_graph(str(target)).n == 3
 
 
 def test_generate_stdout_json(capsys):
@@ -160,6 +167,34 @@ def test_partition_must_cover_exactly_the_host(tmp_path, capsys):
     on_t7 = ["--host", str(t7), "--parts", str(parts)]
     assert run(capsys, "tile", "--pattern", str(triangle), *on_t7) == (2, "")
     assert run(capsys, "analyze", *on_t7, "--stats", "extremal") == (2, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--host", "{wide}"], "line 2: vertex count must be in 0..1024, got 1025"),
+        (["embed", "--pattern", "{c3}", "--host", "{wide}"], "line 2: vertex count"),
+        (["tile", "--pattern", "{c3}", "--host", "{wide}"], "line 2: vertex count"),
+        (["tile", "--pattern", "{c3}", "--host", "{c3}", "--parts", "{parts}"],
+         "line 3: vertex 1024 out of range 0..1023"),
+        # samples and budget keep a regression short: one host, and no tiling search
+        (["search", "tile-probe", "--pattern", "{c3}", "--n", "1026", "--samples", "1",
+          "--budget", "0"], "got 1026"),
+        (["search", "probe", "--pattern", "{c3}", "--mode", "sample", "--n", "1025",
+          "--samples", "1", "--budget", "0"], "got 1025"),
+    ],
+    ids=["analyze", "embed", "tile", "tile-parts", "tile-probe", "probe-sample"],
+)
+def test_orders_past_the_cap_exit_2(tmp_path, capsys, caplog, argv, message):
+    # one vertex past the cap of 1024, in a header and in a part
+    files = {}
+    for name, text in (("wide", "# c\n1025 0\n"), ("c3", "3 3\n0 1\n1 2\n2 0\n"),
+                       ("parts", "0 1\n# c\n2 1024\n")):
+        files[name] = tmp_path / name
+        files[name].write_text(text)
+    assert cli.main([arg.format(**files) for arg in argv]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert message in caplog.text
 
 
 def test_tile_deeper_than_the_recursion_limit(tmp_path, capsys):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from oriograph.core import (
+    MAX_VERTICES,
     Embedding,
     OrientedGraph,
     Partition,
@@ -20,7 +21,7 @@ from oriograph.core import (
     write_graph,
     write_partition,
 )
-from oriograph.errors import EdgeError, ParseError
+from oriograph.errors import EdgeError, ParseError, PartError
 from oriograph.oracles import random_oriented
 
 
@@ -51,8 +52,12 @@ def test_construction_rejects_bad_edges():
     with pytest.raises(EdgeError) as err:
         OrientedGraph(2, [(0, 1), (1, 0)])
     assert err.value.index == 1
+    # the order: 0..MAX_VERTICES
     with pytest.raises(ValueError):
         OrientedGraph(-1)
+    assert OrientedGraph(MAX_VERTICES).n == MAX_VERTICES
+    with pytest.raises(ValueError, match=f"got {MAX_VERTICES + 1}$"):
+        OrientedGraph(MAX_VERTICES + 1)
 
 
 def test_from_out_rows_checks_antisymmetry():
@@ -62,6 +67,9 @@ def test_from_out_rows_checks_antisymmetry():
         OrientedGraph.from_out_rows(2, (0b10, 0b01))
     with pytest.raises(ValueError):
         OrientedGraph.from_out_rows(2, (0b01, 0))
+    # the order is refused before the rows are looked at
+    with pytest.raises(ValueError, match=f"got {MAX_VERTICES + 1}$"):
+        OrientedGraph.from_out_rows(MAX_VERTICES + 1, ())
     with pytest.raises(ValueError):
         OrientedGraph.from_out_rows(1, (0b10,))
 
@@ -98,8 +106,18 @@ def test_partition_basics():
         p.check_covers(6)
     with pytest.raises(ValueError):
         p.part_of(9)
-    with pytest.raises(ValueError):
-        Partition([[0, 1], [1, 2]])
+    assert Partition([[MAX_VERTICES - 1]]).masks == (1 << MAX_VERTICES - 1,)
+    # a refusal names the refused part by its position
+    for parts, index in (
+        ([[0, 1], [1, 2]], 1),  # in two parts
+        ([[0, 0, 1], [2]], 0),  # repeated inside a part
+        ([[0], [2], [3, 4, 3]], 2),
+        ([[0], [1, MAX_VERTICES]], 1),  # past the vertex cap
+        ([[0], [1, -1]], 1),
+    ):
+        with pytest.raises(PartError) as err:
+            Partition(parts)
+        assert err.value.index == index
     with pytest.raises(ValueError):
         Partition([])
 
@@ -163,6 +181,8 @@ def test_parse_errors_carry_line_numbers():
         ("3 2\n0 1\n# c\n2 2\n", 4),  # loop
         ("3 3\n0 1\n\n1 2\n0 1  # again\n", 5),  # duplicate
         ("3 2\n0 1\n0 5\n", 3),  # out of range
+        ("# c\n1025 0\n", 2),  # past the vertex cap, named at the header
+        ("-1 0\n", 1),  # a negative order
     ):
         with pytest.raises(ParseError) as err:
             parse(text)
@@ -176,14 +196,20 @@ def test_partition_round_trip_and_errors():
     p = Partition([[0, 2], [1], [3]])
     assert parse_partition(serialize_partition(p)) == p
     assert parse_partition("# c\n0 2\n1\n3\n") == p
-    with pytest.raises(ParseError):
-        parse_partition("")
-    with pytest.raises(ParseError):
-        parse_partition("0 0\n")
-    with pytest.raises(ParseError):
-        parse_partition("0 1\n1\n")
-    with pytest.raises(ParseError):
-        parse_partition("0 x\n")
+    # Partition refuses the part, parse_partition names its line past comments and blanks
+    for text, line in (
+        ("", 1),  # no part
+        ("0 x\n", 1),  # not an integer
+        ("0 0\n", 1),  # repeated inside a part
+        ("0 1\n# c\n2 3 2\n", 3),  # repeated inside a later part
+        ("0 1\n1\n", 2),  # in two parts
+        ("# c\n0 1\n\n2 0\n", 4),  # in two parts, past a comment and a blank
+        ("0\n1 -1\n", 2),  # negative
+        ("0\n\n1 1024\n", 3),  # past the vertex cap
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_partition(text)
+        assert err.value.line == line, text
 
 
 def test_file_helpers(tmp_path):

@@ -1,10 +1,12 @@
 """Named families: orders, degrees, partitions, and local edge rules."""
 
 import hashlib
+import inspect
 
 import pytest
 
-from oriograph.core import isomorphic_brute, serialize, serialize_partition
+from oriograph import generators
+from oriograph.core import MAX_VERTICES, isomorphic_brute, serialize, serialize_partition
 from oriograph.generators import (
     blow_up,
     c3_barrier,
@@ -135,7 +137,11 @@ def test_c3_barrier():
 
 
 def construction_digest(built):
-    text = "".join(serialize(g) + serialize_partition(p) for g, p in built)
+    """sha256 of each graph's .dg text, followed by its .parts text for a pair."""
+    text = "".join(
+        serialize(b[0]) + serialize_partition(b[1]) if isinstance(b, tuple) else serialize(b)
+        for b in built
+    )
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -154,3 +160,76 @@ def test_three_part_constructions_are_pinned():
     assert hashlib.sha256(reversed_.encode()).hexdigest() == (
         "fbbe424f5907eb61422a80d6c29938b435faae3af7a7bbd43ac28538bfe844a7"
     )
+
+
+BLOW_UP_BASES = (rotational(7, [1, 2, 4]), graph_s(), cycle_power(6, 2))
+FAMILY_PINS = {
+    "transitive": (
+        lambda: [transitive(n) for n in (0, 1, 2, 5, 9, 40)],
+        "42eeb3d8f4eb4327829b4d37df7da87869bf41cccd323ae1e92dda052da11298",
+    ),
+    "cycle_power": (
+        lambda: [cycle_power(k, ell) for k, ell in ((3, 1), (5, 2), (6, 2), (8, 3), (11, 5))],
+        "d74462b3228a9f4ea5f17b060506c87fb2273eb781ec116d39ca4d8e6916fe07",
+    ),
+    "rotational": (
+        lambda: [
+            rotational(n, rs)
+            for n, rs in ((3, [1]), (7, [1, 2, 4]), (9, [1, 2, 3, 4]), (13, [1, 3, 4]))
+        ],
+        "e31a44be8b84510f25781dcfa468bdea09b829439be60f2890ac7ee42fb4fa3b",
+    ),
+    "semi_regular_tournament": (
+        lambda: [semi_regular_tournament(m) for m in range(34)],
+        "d801317458a7882375a648f01a9bfd1b5cb4530bf6cb233a2dafff9851036dd5",
+    ),
+    "f_r": (
+        lambda: [f_r(r) for r in range(1, 5)],
+        "4f5a0966276dd95aa79f2fc11f5beea68419dcbb4e296b19c3ddd98fca417414",
+    ),
+    "blow_up": (
+        lambda: [blow_up(b, t) for b in BLOW_UP_BASES for t in (1, 2, 3)],
+        "5300f7ffbda68108b06b5accd2b6f7805cb905ef60d5f75d8ccaeb077cdfa6e4",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PINS))
+def test_row_built_families_are_pinned(family):
+    # recorded while these families still built edge lists and digit loops
+    build, digest = FAMILY_PINS[family]
+    assert construction_digest(build()) == digest
+
+
+# each public family's arguments for its least order past MAX_VERTICES, and
+# that order; None for graph_s, whose order is fixed
+PAST_THE_CAP = {
+    "transitive": ((MAX_VERTICES + 1,), MAX_VERTICES + 1),
+    "cycle_power": ((MAX_VERTICES + 1, 1), MAX_VERTICES + 1),
+    "rotational": ((MAX_VERTICES + 1, [1]), MAX_VERTICES + 1),
+    "semi_regular_tournament": ((MAX_VERTICES + 1,), MAX_VERTICES + 1),
+    "d_abc": ((MAX_VERTICES - 1, 1, 1), MAX_VERTICES + 1),
+    "blow_up": ((transitive(5), 205), 1025),
+    "f_r": ((7,), 2187),  # orders are powers of 3
+    "c3_barrier": ((342,), 1026),  # orders are multiples of 3
+    "t_sk": ((2, 170), 1026),  # orders are multiples of 6
+    "graph_s": None,
+}
+FAMILIES = sorted(
+    name
+    for name, fn in inspect.getmembers(generators, inspect.isfunction)
+    if fn.__module__ == generators.__name__ and not name.startswith("_")
+)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_every_family_refuses_orders_past_the_cap(name):
+    # a family missing from the table fails here with a KeyError
+    case = PAST_THE_CAP[name]
+    family = getattr(generators, name)
+    if case is None:
+        assert family().n <= MAX_VERTICES
+        return
+    args, order = case
+    with pytest.raises(ValueError, match=f"must be in 0\\.\\.{MAX_VERTICES}, got {order}$"):
+        family(*args)
