@@ -41,7 +41,7 @@ print("lattice refutes a perfect tiling:", verdict.refutes,
 # generators, membership by Hermite normal form.
 gens = ((2, 2, 2), (4, 1, 1), (1, 4, 1), (1, 1, 4), (3, 3, 0), (3, 0, 3), (0, 3, 3))
 lat = residue_lattice(gens, 6, 3)
-print("lattice size:", len(lat))
+print("lattice size:", lat.size)
 print("(3,3,0) in lattice:", (3, 3, 0) in lat)
 print("(1,2,3) in lattice:", (1, 2, 3) in lat)
 

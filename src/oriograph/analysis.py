@@ -10,6 +10,15 @@ multiset {1, 1, 2, 2}).  For a host on n vertices write c for
 (1/8 + 2c) n^2 ] and above (1/32 - 2c) n^3 respectively, and the
 bounds helpers below report those per-instance windows.
 
+The strong 4-tournament has exactly one labelling a->b, a->c, b->c,
+b->d, c->d, d->a, so each copy is fixed by the edge d->a that closes it
+together with the edge b->c inside X = N+(a) & N-(d).  Conversely, an
+edge d->a and any edge of G[X] make a copy: in an oriented graph the
+six pairs are then all edges.  So a copy is never listed.  Per edge
+d->a, each u in X gains its degree in G[X], and a and d gain the number
+of edges of G[X], half the sum of those degrees.  The u in X are the
+third vertices of the directed triangles through d->a.
+
 A 3-partition is gamma-extremal when every part has size within
 gamma * n of n/3 and each of the three reverse-edge classes (against the
 cyclic pattern part 1 -> part 2 -> part 3 -> part 1) has at most
@@ -38,32 +47,35 @@ def cyclic_edge_stat(graph, v):
 
 def d_copy_counts(graph):
     """Per vertex, the 4-sets containing it that induce the strong 4-vertex
-    tournament.
+    tournament, counted from the edge d->a that closes each copy (see the
+    module docstring).
 
-    That tournament has exactly one labelling a->b, a->c, b->c, b->d, c->d,
-    d->a (a and b have score 2, c and d score 1), so each copy is counted
-    once as a, b in N+(a), c in N+(a) & N+(b) and d in
-    N+(b) & N-(a) & N+(c).  This holds in any oriented graph: the six pairs
-    are then edges, so the 4-set induces the tournament.  O(n^3) bit
-    operations; `oracles.d_copy_counts` is the pass over all 4-sets.
+    The inner step runs once per directed triangle and edge of it, 3 C3
+    times in all (the sum of cyclic_edge_stat over the vertices), and no
+    step runs per copy.  `oracles.d_copy_counts` is the pass over all
+    4-sets.
     """
     out, inn = graph.out_rows, graph.in_rows
+    adj = [o | i for o, i in zip(out, inn)]
     counts = [0] * graph.n
-    for a in range(graph.n):
-        out_a, in_a = out[a], inn[a]
-        for b in bits(out_a):
-            d_side = out[b] & in_a
-            if not d_side:
-                continue
-            for c in bits(out_a & out[b]):
-                ds = d_side & out[c]
-                if ds:
-                    k = ds.bit_count()
-                    counts[a] += k
-                    counts[b] += k
-                    counts[c] += k
-                    for d in bits(ds):
-                        counts[d] += 1
+    for d in range(graph.n):
+        in_d = inn[d]
+        at_d = 0
+        for a in bits(out[d]):
+            x = out[a] & in_d
+            # twice the edges of G[X]: the sum of its degrees
+            total = 0
+            rest = x
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                k = (adj[u] & x).bit_count()
+                counts[u] += k
+                total += k
+                rest ^= low
+            counts[a] += total >> 1
+            at_d += total
+        counts[d] += at_d >> 1
     return counts
 
 

@@ -13,9 +13,11 @@ it refutes without a search).  The probes exit by their report's
 "outcome".  Inputs are checked where they are
 read, before any search, so a --parts file that does not cover exactly
 the host's vertices 0..n-1 exits 2 whatever the budget and the orders.
-`lattice --target` refutes (exit 1) only at --threshold 1, where the
-lattice is built from every copy vector.  With --json a single JSON
-document (sorted keys) goes to stdout; logs go to stderr.
+Any other exception is a fault of the program: its traceback goes to
+stderr and the exit is 4.  `lattice --target` refutes (exit 1) only at
+--threshold 1, where the lattice is built from every copy vector.  With
+--json a single JSON document (sorted keys) goes to stdout; logs go to
+stderr.
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ def cmd_lattice(args):
             for i, j, a, b in transferrals
         ],
         "modulus": modulus,
-        "lattice_size": len(lat),
+        "lattice_size": lat.size,
     }
     verdict = None
     if args.target:
@@ -544,6 +546,10 @@ def main(argv=None):
     except (OSError, ValueError, ResourceLimitError) as exc:
         log.error("%s", exc)
         return 2
+    except Exception:
+        # a fault of the program; exit 1 stays a command's own refutation
+        log.exception("internal error")
+        return 4
 
 
 def entry():

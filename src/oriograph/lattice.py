@@ -59,8 +59,13 @@ class ResidueLattice(Record):
 
     __contains__ = contains
 
-    def __len__(self):
+    @property
+    def size(self):
+        """|H| as a plain int; len() refuses counts past sys.maxsize."""
         return prod(self.modulus // row[j] for j, row in enumerate(self.basis))
+
+    def __len__(self):
+        return self.size
 
 
 def residue_lattice(generators, modulus, dimension):

@@ -158,7 +158,7 @@ def check_mod6_lattice(p):
     lat = lattice.residue_lattice(MOD6_GENERATORS, 6, 3)
     members = {v for v in product(range(6), repeat=3) if v in lat}
     detail = {
-        "size": len(lat),
+        "size": lat.size,
         "brute_force_agrees": oracles.residue_span(MOD6_GENERATORS, 6, 3) == members,
         "excludes_123": (1, 2, 3) not in lat,
         "includes_330": (3, 3, 0) in lat,

@@ -1,5 +1,6 @@
 """Vertex statistics, their windows, and the extremal-structure checker."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -15,7 +16,7 @@ from oriograph.analysis import (
     find_extremal_partition,
     semi_degree_slack,
 )
-from oriograph.generators import d_abc, rotational
+from oriograph.generators import d_abc, rotational, transitive
 from oriograph.oracles import d_copy_counts as brute_d_copies
 from oriograph.oracles import extremal_partition, random_oriented, random_tournament
 from oriograph.search import random_semi_regular
@@ -54,6 +55,42 @@ def test_d_copy_counts_on_graphs_with_non_edges():
         n = rng.randrange(4, 13)
         g = (random_tournament if trial % 4 == 0 else random_oriented)(rng, n)
         assert d_copy_counts(g) == brute_d_copies(g), trial
+
+
+def test_d_copy_counts_on_edge_shapes():
+    # edgeless graphs on 0..5 vertices, then orders below 4 with edges,
+    # transitive tournaments, a 4-cycle with one chord, and a triangle or a
+    # near-tournament beside an isolated vertex
+    shapes = [OrientedGraph(n) for n in range(6)] + [
+        OrientedGraph(2, [(0, 1)]),
+        rotational(3, [1]),
+        transitive(3),
+        transitive(4),
+        transitive(9),
+        OrientedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+        OrientedGraph(4, [(0, 1), (1, 2), (2, 0)]),
+        OrientedGraph(5, [(u, v) for u, v in rotational(5, [1, 2]).edges() if 4 not in (u, v)]),
+    ]
+    for g in shapes:
+        assert d_copy_counts(g) == brute_d_copies(g), (g.n, g.edges())
+    assert d_copy_counts(transitive(9)) == [0] * 9
+    assert d_copy_counts(OrientedGraph(0)) == []
+    # the strong 4-tournament with an isolated fifth vertex
+    d_graph, _ = d_abc(1, 1, 2)
+    lone = OrientedGraph(5, d_graph.edges())
+    assert d_copy_counts(lone) == brute_d_copies(lone) == [1, 1, 1, 1, 0]
+
+
+def test_d_copy_counts_on_walk_hosts_are_pinned():
+    # sha256 of the counts of each host, n = 9..31, one line each in
+    # decimal joined by commas: past the reach of the brute-force oracle
+    text = "\n".join(
+        ",".join(map(str, d_copy_counts(random_semi_regular(n, seed="d-pin"))))
+        for n in range(9, 32)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e87617fbf89c06e3a220f57b88e73dcbec007de29f70342fcff5f86d892d75f6"
+    )
 
 
 def test_windows_hold_on_sampled_hosts():

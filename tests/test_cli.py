@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from oriograph import cli, oracles
-from oriograph.core import parse, read_graph, read_partition
+from oriograph.core import parse, read_graph, read_partition, write_graph
+from oriograph.search import random_semi_regular
 
 DATA = Path(__file__).parent / "data"
 
@@ -268,6 +269,10 @@ def test_lattice_report_and_target(paths, capsys):
     code, doc = run_json(capsys, *argv, "--mod", "200")
     assert code == 0
     assert doc["lattice_size"] == 40_000
+    # past sys.maxsize: len() would raise, the class count is a plain int
+    code, out = run(capsys, *argv, "--mod", "10000000000")
+    assert code == 0
+    assert "residue lattice mod 10000000000: 100000000000000000000 classes" in out
     # argparse reads "-1,5,2" after a space as a flag; after "=" it is the value
     assert run(capsys, *argv, "--target", "-1,5,2") == (2, "")
     code, doc = run_json(capsys, *argv, "--target=-1,5,2")
@@ -282,6 +287,17 @@ def test_analyze_vertex(paths, capsys):
     assert doc["min_semi_degree"] == 3
     assert len(doc["vertices"]) == 7
     assert all(v["cyclic_edges"] == 6 for v in doc["vertices"])
+
+
+def test_analyze_json_is_pinned(tmp_path, capsys):
+    # a walk host past the reach of the brute-force D-copy oracle
+    host = tmp_path / "h31.dg"
+    write_graph(str(host), random_semi_regular(31, seed="d-pin"))
+    code, out = run(capsys, "analyze", "--host", str(host), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d4a8c9aa71bf5ee542874f245b14995f0c158d33ae751a6bfeb063911f611c43"
+    )
 
 
 def test_analyze_extremal(paths, capsys):
@@ -448,6 +464,18 @@ def test_verify_paper_timings(monkeypatch, capsys):
         lines = [line.split() for line in captured.err.splitlines()]
         assert [name for name, _ in lines] == ["first", "second"]
         assert all(float(seconds) >= 0 for _, seconds in lines)
+
+
+def test_internal_errors_exit_4(monkeypatch, paths, caplog):
+    def broken(args):
+        raise RuntimeError("a fault of the program")
+
+    # exit 1 is a refutation, so a fault of the program must not reach it
+    monkeypatch.setattr(cli, "cmd_analyze", broken)
+    assert cli.main(["analyze", "--host", paths["t7"]]) == 4
+    [record] = caplog.records
+    assert record.getMessage() == "internal error"
+    assert record.exc_info[0] is RuntimeError
 
 
 def test_usage_errors(tmp_path, capsys):

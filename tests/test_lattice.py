@@ -37,7 +37,7 @@ def _members(lat):
 
 def test_residue_lattice_matches_brute_force():
     lat = residue_lattice(MOD6_GENERATORS, 6, 3)
-    assert len(lat) == 12
+    assert lat.size == len(lat) == 12
     assert _members(lat) == residue_span(MOD6_GENERATORS, 6, 3)
     assert (3, 3, 0) in lat
     assert (1, 2, 3) not in lat
