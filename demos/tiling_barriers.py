@@ -28,14 +28,16 @@ host, parts = c3_barrier(2)
 res = perfect_tiling(triangle, host)
 print("triangle in c3_barrier(2):", res.mode)
 
-# Handing the solver the partition lets it refute without searching:
-# every triangle copy has an index vector the residue lattice cannot
-# stretch to the full part sizes.
+# Handing the solver the partition lets it refute without listing a
+# single triangle.  The parts' quotient already limits the index vector
+# of any copy: part 1 has one vertex and no inner edge, so no triangle
+# lies inside it.  The |U| = 3 vectors left cannot sum to the part sizes
+# modulo 3.
 res = perfect_tiling(triangle, host, partition=parts)
 print("with partition:", res.mode)
 print("  note:", res.note)
 
-# The same lattice argument kills D_2-tilings of t_sk(2,1); without the
+# The same bound kills D_2-tilings of t_sk(2,1); without the
 # partition the solver needs the whole search tree to say the same thing.
 d2, _ = d_abc(2, 2, 2)
 w = t_sk(2, 1)

@@ -19,6 +19,24 @@ records.  A vector lies in L iff reducing it row by row leaves every
 pivot column divisible by its pivot, and |H| = prod(m / h_j) because
 L has index prod(h_j) in Z^d.  No member of H is ever listed.
 
+The quotient bound limits the copy vectors without listing a copy.  For
+an ordered pair of parts (i, j), the host edges from part i to part j are
+absent, a matching (no two share a tail or a head; i != j only), or
+other.  U is the set of index vectors of the maps from pattern vertices
+to parts that send no pattern edge to an absent pair, and to a matching
+pair no two pattern edges with a common tail or a common head.  A copy
+composed with the part labels is such a map: two of its edges with a
+common tail sent to (i, j) would give a host vertex of part i two
+out-neighbours in part j, and likewise for heads.  So every copy vector
+lies in U, the copy vectors generate a subgroup of <U> mod m, and a host
+vector outside <U> is outside that subgroup too: the bound refutes only
+what the copy vectors refute.  The maps are searched by backtracking
+over the pattern vertices in embed's variable order, one node per
+placement, and a search past MAP_CAP nodes bounds nothing.  If every
+pair is "other", or the pattern has no edge, U holds every composition
+of m, whose span holds the host's vector (its sum is divisible by m), so
+the search is skipped.
+
 The module also computes edge-vector statistics of copy hypergraphs
 (which vectors occur, with multiplicities), robust vectors above a count
 threshold, and 2-transferrals (pairs of robust vectors differing by
@@ -34,7 +52,14 @@ from __future__ import annotations
 from collections import Counter
 from math import prod
 
-from .core import Record
+from .core import Record, bits
+from .embed import variable_order
+from .errors import BudgetExceededError
+
+# The quotient bound's map search stops after this many nodes and then
+# refutes nothing: over 250 times the 30 to 372 nodes it spends on
+# c3_barrier and on t_sk(s, k) for s <= 4.
+MAP_CAP = 100_000
 
 
 class ResidueLattice(Record):
@@ -164,15 +189,92 @@ class LatticeVerdict(Record):
     __slots__ = ("refutes", "modulus", "target", "lattice")
 
 
+def _verdict(vectors, m, partition):
+    lat = residue_lattice(vectors, m, partition.d)
+    target = tuple(len(p) % m for p in partition.parts)
+    return LatticeVerdict(
+        refutes=not lat.contains(target), modulus=m, target=target, lattice=lat
+    )
+
+
 def tiling_lattice_precheck(hyper, partition):
     """Decide whether copy index vectors can sum to the host's index vector
     modulo m, the pattern order.  refutes=True is a proof that no perfect
     tiling exists; refutes=False says nothing either way.
     """
-    m = hyper.k
-    report = edge_vectors(hyper, partition)
-    lat = residue_lattice(report.vectors, m, partition.d)
-    target = tuple(len(p) % m for p in partition.parts)
-    return LatticeVerdict(
-        refutes=not lat.contains(target), modulus=m, target=target, lattice=lat
+    return _verdict(edge_vectors(hyper, partition).vectors, hyper.k, partition)
+
+
+class QuotientBound(Record):
+    """U (None if the search was skipped or stopped at MAP_CAP), its verdict
+    on the host's vector, and the map search's nodes."""
+
+    __slots__ = ("vectors", "verdict", "nodes")
+
+
+def quotient_bound(pattern, host, partition, budget=None):
+    """Bound the copy vectors by U (see the module docstring) without listing
+    a copy; the search's nodes count against the budget.  verdict.refutes=True
+    is a proof that no perfect tiling exists, as in tiling_lattice_precheck."""
+    partition.check_covers(host.n)
+    d = partition.d
+    # kind[i][j]: None if no host edge runs from part i to part j, True if
+    # they form a matching (i != j, one head per tail, and the heads add
+    # without a carry, so no two are equal), False otherwise
+    kind = [[None] * d for _ in range(d)]
+    for i, part in enumerate(partition.parts):
+        for j, mask in enumerate(partition.masks):
+            heads = [host.out_rows[u] & mask for u in part]
+            if any(heads):
+                single = all(h & (h - 1) == 0 for h in heads)
+                kind[i][j] = i != j and single and sum(heads).bit_count() == sum(map(bool, heads))
+    if not pattern.edge_count or all(k is False for row in kind for k in row):
+        # every composition of |V(F)| is in U, which then refutes nothing
+        return QuotientBound(vectors=None, verdict=None, nodes=0)
+    outs, ins, order = pattern.out_rows, pattern.in_rows, variable_order(pattern)
+    members = [0] * d  # the pattern vertices placed in each part
+    phi = [0] * pattern.n  # the part of each placed pattern vertex
+    before = [0]  # before[s]: the pattern vertices of the slots before slot s
+    for v in order:
+        before.append(before[-1] | 1 << v)
+
+    def fits(v, i, placed):
+        for w in bits((outs[v] | ins[v]) & placed):
+            j = phi[w]
+            # the placed pattern edges of this pair at v (w among them) and at w
+            if outs[v] >> w & 1:
+                k, at_v, at_w = kind[i][j], outs[v] & members[j], ins[w] & members[i]
+            else:
+                k, at_v, at_w = kind[j][i], ins[v] & members[j], outs[w] & members[i]
+            # a matching pair takes one pattern edge at each tail and each head
+            if k is None or k and (at_v & (at_v - 1) or at_w):
+                return False
+        return True
+
+    vectors = set()
+    nodes = 0
+    stack = [iter(range(d))]  # per slot, the parts not yet tried there
+    while stack:
+        slot = len(stack) - 1
+        v = order[slot]
+        members[phi[v]] &= ~(1 << v)
+        for i in stack[-1]:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError(budget)
+            if nodes > MAP_CAP:
+                return QuotientBound(vectors=None, verdict=None, nodes=nodes)
+            if fits(v, i, before[slot]):
+                break
+        else:
+            stack.pop()
+            continue
+        members[i] |= 1 << v
+        phi[v] = i
+        if slot == pattern.n - 1:
+            vectors.add(tuple(map(int.bit_count, members)))
+        else:
+            stack.append(iter(range(d)))
+    return QuotientBound(
+        vectors=frozenset(vectors), verdict=_verdict(vectors, pattern.n, partition), nodes=nodes
     )

@@ -1,10 +1,11 @@
 """Brute-force oracles that the search kernels are checked against.
 
 Each oracle enumerates vertex tuples with itertools.permutations and
-combinations and reads graphs only through has_edge and edges(), so it
-shares no code with the kernels in embed, tiling, search or analysis and
-cannot vouch for them.  They are exponential and meant for instances of
-at most a dozen vertices.  The two counts of labeled regular tournaments
+combinations (or, for the quotient bound, maps to parts with
+itertools.product) and reads graphs only through has_edge and edges(),
+so it shares no code with the kernels in embed, tiling, lattice, search
+or analysis and cannot vouch for them.  They are exponential and meant
+for instances of at most a dozen vertices.  The two counts of labeled regular tournaments
 read no graph at all: the exponential leaf count checks the dynamic
 program at small n, and the dynamic program reaches n = 11 in
 milliseconds.  Sampling by counting on that program draws uniform
@@ -78,6 +79,36 @@ def residue_span(generators, modulus, dimension):
         tuple(sum(column) % modulus for column in zip(*choice))
         for choice in product([(0,) * dimension], *multiples)
     }
+
+
+def quotient_vectors(pattern, host, partition):
+    """U of the quotient bound, by trying all |P|^|V(pattern)| maps from
+    pattern vertices to parts.  Host edges from part i to part j are absent,
+    a matching (distinct tails and heads, i != j only), or other; a map is
+    kept unless it sends a pattern edge to an absent pair, or two pattern
+    edges with a common tail or a common head to one matching pair."""
+    parts = [sorted(p) for p in partition.parts]
+    kinds = {}
+    for i, a in enumerate(parts):
+        for j, b in enumerate(parts):
+            arcs = [(u, v) for u in a for v in b if host.has_edge(u, v)]
+            tails, heads = {u for u, _ in arcs}, {v for _, v in arcs}
+            distinct = i != j and len(tails) == len(heads) == len(arcs)
+            kinds[i, j] = "absent" if not arcs else "matching" if distinct else "other"
+    edges = pattern.edges()
+    found = set()
+    for phi in product(range(len(parts)), repeat=pattern.n):
+        sent = {}
+        for u, v in edges:
+            sent.setdefault((phi[u], phi[v]), []).append((u, v))
+        if all(
+            kinds[pair] == "other"
+            or kinds[pair] == "matching"
+            and len({u for u, _ in arcs}) == len({v for _, v in arcs}) == len(arcs)
+            for pair, arcs in sent.items()
+        ):
+            found.add(tuple(phi.count(j) for j in range(len(parts))))
+    return found
 
 
 def extremal_partition(graph, gamma):

@@ -33,11 +33,12 @@ full without a cover is remembered and never searched again; this skips
 only subtrees without a cover, so the first cover found is unchanged.
 A search cut off by its budget records nothing, and the memo stops
 growing at EDGE_CAP sets, which bounds its memory and only costs repeats.
-Refutations are certified in two distinct ways: "refuted-exhaustive"
-means the cover search ran to completion, "refuted-lattice" means the
-residue-lattice pre-check (see the lattice module) already proves the
-host's index vector unreachable from the copies' index vectors, and
-"refuted-divisibility" means |V(F)| does not divide |V(G)|.
+Refutations are certified in three distinct ways: "refuted-exhaustive"
+means the cover search ran to completion, "refuted-lattice" means a
+residue lattice (see the lattice module) proves the host's index vector
+unreachable, and "refuted-divisibility" means |V(F)| does not divide
+|V(G)|.  Given a partition, the lattice is first the quotient bound's,
+which lists no copy, and then, if that refutes nothing, the copies'.
 """
 
 from __future__ import annotations
@@ -261,12 +262,13 @@ def perfect_tiling(pattern, host, partition=None, budget=None):
     """Search for a perfect tiling of the host by pattern copies.
 
     A partition must cover exactly the host's vertices; any other raises
-    ValueError before any search.  With one, the residue-lattice pre-check
-    runs after copy enumeration and can refute without any cover search.
+    ValueError before any search.  With one, the quotient bound runs before
+    copy enumeration and the residue-lattice pre-check after it, and either
+    can refute without any cover search.
     A found tiling is re-verified as a perfect tiling of the host before
     returning.
-    The node budget is one budget for the whole call: the cover search
-    gets what copy enumeration left of it.
+    The node budget is one budget for the whole call: each phase gets what
+    the phases before it left.
     """
     if pattern.n == 0:
         raise ValueError("pattern must have at least one vertex")
@@ -277,18 +279,25 @@ def perfect_tiling(pattern, host, partition=None, budget=None):
             REFUTED_DIVISIBILITY,
             note=f"pattern order {pattern.n} does not divide host order {host.n}",
         )
+    if partition is not None:
+        # looked up at call time, so a wrapper set on the module attribute sees every call
+        try:
+            bound = lattice.quotient_bound(pattern, host, partition, budget)
+        except BudgetExceededError:
+            return TilingResult(INCONCLUSIVE, note="budget exhausted during the quotient bound")
+        if bound.verdict is not None and bound.verdict.refutes:
+            by = f" by the quotient bound, |U| = {len(bound.vectors)}"
+            return _lattice_refutation(bound.verdict, by)
+        if budget is not None:
+            budget -= bound.nodes
     try:
         hyper = copy_hypergraph(pattern, host, budget=budget)
     except BudgetExceededError:
         return TilingResult(INCONCLUSIVE, note="budget exhausted during copy enumeration")
     if partition is not None:
-        # looked up at call time, so a wrapper set on the module attribute sees every call
         verdict = lattice.tiling_lattice_precheck(hyper, partition)
         if verdict.refutes:
-            return TilingResult(
-                REFUTED_LATTICE,
-                note=f"host index vector {verdict.target} unreachable modulo {verdict.modulus}",
-            )
+            return _lattice_refutation(verdict)
     if budget is not None:
         budget -= hyper.nodes
     try:
@@ -301,6 +310,11 @@ def perfect_tiling(pattern, host, partition=None, budget=None):
     if not verify_tiling(pattern, host, tiling):
         raise AssertionError("solver produced a tiling that fails re-verification")
     return TilingResult(FOUND, tiling=tiling)
+
+
+def _lattice_refutation(verdict, by=""):
+    note = f"host index vector {verdict.target} unreachable modulo {verdict.modulus}"
+    return TilingResult(REFUTED_LATTICE, note=note + by)
 
 
 def verify_tiling(pattern, host, tiling):

@@ -1,4 +1,5 @@
-"""Index-vector lattices, transferrals, the tiling pre-check and family G."""
+"""Index-vector lattices, transferrals, the tiling pre-check, the quotient
+bound and family G."""
 
 import random
 from collections import Counter
@@ -16,13 +17,20 @@ from oriograph.generators import (
     semi_regular_tournament,
     t_sk,
 )
+from oriograph import lattice
 from oriograph.lattice import (
     edge_vectors,
     find_2_transferrals,
+    quotient_bound,
     residue_lattice,
     tiling_lattice_precheck,
 )
-from oriograph.oracles import residue_span
+from oriograph.oracles import (
+    quotient_vectors,
+    random_oriented,
+    residue_span,
+    tilable,
+)
 from oriograph.tiling import copy_hypergraph
 
 MOD6_GENERATORS = (
@@ -157,6 +165,91 @@ def test_tiling_lattice_precheck():
     host, parts = blow_up(base, 2)
     hyper = copy_hypergraph(f_r(1), host)
     assert not tiling_lattice_precheck(hyper, parts).refutes
+
+
+def _quotient_cases(seed, count):
+    """Seeded (pattern, host, partition) triples: hosts on 4-10 vertices of
+    any density, patterns on 2-5 vertices, 2 or 3 non-empty parts, and at
+    most 3^6 maps from pattern vertices to parts."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        n, d = rng.randrange(4, 11), rng.randrange(2, 4)
+        host = random_oriented(rng, n, density=rng.random())
+        pattern = random_oriented(rng, rng.randrange(2, 6 if d == 3 else 7), 0.5 + rng.random() / 2)
+        labels = [rng.randrange(d) for _ in range(n)]
+        parts = [[v for v in range(n) if labels[v] == j] for j in range(d)]
+        if all(parts):
+            cases.append((pattern, host, Partition(parts)))
+    return cases
+
+
+def test_quotient_bound_matches_the_map_oracle():
+    searched = strict = 0
+    for trial, (pattern, host, parts) in enumerate(_quotient_cases("quotient-oracle", 150)):
+        bound = quotient_bound(pattern, host, parts)
+        brute = quotient_vectors(pattern, host, parts)
+        vectors = product(range(pattern.n + 1), repeat=parts.d)
+        compositions = {v for v in vectors if sum(v) == pattern.n}
+        if bound.vectors is None:
+            # skipped: every pair kind is "other", so U is every composition
+            assert bound.nodes == 0 and brute == compositions, trial
+        else:
+            assert bound.vectors == brute, trial
+            searched += 1
+            strict += brute < compositions
+    assert searched > 100 and strict > 50
+
+
+def test_quotient_bound_is_sound():
+    # every copy's vector lies in U, and a refutation by the bound is never
+    # contradicted by the tiling oracle
+    refuted = 0
+    for trial, (pattern, host, parts) in enumerate(_quotient_cases("quotient-sound", 300)):
+        bound = quotient_bound(pattern, host, parts)
+        copies = edge_vectors(copy_hypergraph(pattern, host), parts).vectors
+        assert bound.vectors is None or copies <= bound.vectors, trial
+        if bound.verdict is not None and bound.verdict.refutes and host.n % pattern.n == 0:
+            assert not tilable(pattern, host), trial
+            refuted += 1
+    assert refuted >= 5
+
+
+def test_quotient_bound_on_the_barrier_families():
+    # the t_sk quotient: cyclic cross edges, plus matchings from part 3 to
+    # part 2 and from part 1 to part 3; c3_barrier has the cyclic edges only
+    triangle = f_r(1)
+    for n in (4, 10, 100):
+        host, parts = c3_barrier(n)
+        bound = quotient_bound(triangle, host, parts)
+        assert bound.vectors == {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)}
+        assert bound.verdict.refutes and bound.nodes == 30
+    for s, k, size in ((2, 1, 7), (2, 3, 7), (3, 1, 4), (4, 1, 4)):
+        w = t_sk(s, k)
+        bound = quotient_bound(d_abc(s, s, s)[0], w.graph, w.partition)
+        assert len(bound.vectors) == size and bound.verdict.refutes, (s, k)
+    # no refutation where a perfect tiling exists
+    host, parts = blow_up(rotational(3, [1]), 2)
+    assert not quotient_bound(triangle, host, parts).verdict.refutes
+
+
+def test_quotient_bound_skips_what_cannot_refute():
+    host = semi_regular_tournament(9)
+    one_part = Partition([range(9)])
+    # a pattern with no edges maps anywhere
+    parts = Partition([range(3), range(3, 9)])
+    for pattern, partition in ((f_r(1), one_part), (OrientedGraph(3), parts)):
+        bound = quotient_bound(pattern, host, partition)
+        assert (bound.vectors, bound.verdict, bound.nodes) == (None, None, 0)
+
+
+def test_quotient_bound_stops_at_the_cap(monkeypatch):
+    w = t_sk(2, 1)
+    d2, _ = d_abc(2, 2, 2)
+    nodes = quotient_bound(d2, w.graph, w.partition).nodes
+    monkeypatch.setattr(lattice, "MAP_CAP", nodes - 1)
+    bound = quotient_bound(d2, w.graph, w.partition)
+    assert (bound.vectors, bound.verdict, bound.nodes) == (None, None, nodes)
 
 
 def _against(graph, partition):

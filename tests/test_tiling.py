@@ -19,6 +19,7 @@ from oriograph.generators import (
     rotational,
     semi_regular_tournament,
     t_sk,
+    transitive,
 )
 from oriograph.oracles import embeddings, random_oriented, random_tournament, tilable
 from oriograph.tiling import (
@@ -223,19 +224,60 @@ def test_lattice_refutation():
 
 
 def test_lattice_precheck_is_looked_up_at_call_time(monkeypatch):
-    # the benchmark counts pre-check calls by wrapping this module attribute
+    # the benchmark counts pre-check calls by wrapping this module attribute;
+    # the quotient bound is wrapped the same way
     calls = []
-    precheck = lattice.tiling_lattice_precheck
 
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return precheck(*args, **kwargs)
+    def wrap(name):
+        kernel = getattr(lattice, name)
+        monkeypatch.setattr(lattice, name, lambda *args: calls.append(name) or kernel(*args))
 
-    monkeypatch.setattr(lattice, "tiling_lattice_precheck", wrapper)
+    wrap("quotient_bound")
+    wrap("tiling_lattice_precheck")
     w = t_sk(2, 1)
     d2, _ = d_abc(2, 2, 2)
     assert perfect_tiling(d2, w.graph, partition=w.partition).mode == REFUTED_LATTICE
-    assert len(calls) == 1
+    assert calls == ["quotient_bound"]
+    # vertex 1 of a transitive tournament has an in-edge and out-edges, so
+    # the quotient lets a triangle through it; the copies show there is none
+    calls.clear()
+    result = perfect_tiling(f_r(1), transitive(6), partition=Partition([[1], [0, 2, 3, 4, 5]]))
+    assert result.mode == REFUTED_LATTICE
+    assert result.note == "host index vector (1, 2) unreachable modulo 3"
+    assert calls == ["quotient_bound", "tiling_lattice_precheck"]
+
+
+def test_quotient_bound_refutes_without_listing_copies():
+    # listing the copies alone takes more than the whole budget
+    d2, _ = d_abc(2, 2, 2)
+    w = t_sk(2, 7)
+    for pattern, host, parts in ((f_r(1), *c3_barrier(100)), (d2, w.graph, w.partition)):
+        result = perfect_tiling(pattern, host, partition=parts, budget=5_000)
+        assert result.mode == REFUTED_LATTICE
+        assert "unreachable" in result.note and "by the quotient bound" in result.note
+        with pytest.raises(BudgetExceededError):
+            copy_hypergraph(pattern, host, budget=5_000)
+
+
+def test_quotient_bound_draws_on_the_budget(monkeypatch):
+    w = t_sk(2, 1)
+    d2, _ = d_abc(2, 2, 2)
+    nodes = lattice.quotient_bound(d2, w.graph, w.partition).nodes
+    result = perfect_tiling(d2, w.graph, partition=w.partition, budget=nodes)
+    assert result.mode == REFUTED_LATTICE
+    assert result.note.endswith("by the quotient bound, |U| = 7")
+    result = perfect_tiling(d2, w.graph, partition=w.partition, budget=nodes - 1)
+    assert result.mode == INCONCLUSIVE
+    assert result.note == "budget exhausted during the quotient bound"
+    # stopped at its cap, the bound refutes nothing, and copy enumeration
+    # gets what the bound left of the budget
+    monkeypatch.setattr(lattice, "MAP_CAP", 10)
+    copies = copy_hypergraph(d2, w.graph).nodes
+    result = perfect_tiling(d2, w.graph, partition=w.partition, budget=11 + copies)
+    assert result.mode == REFUTED_LATTICE
+    assert result.note == "host index vector (3, 4, 5) unreachable modulo 6"
+    result = perfect_tiling(d2, w.graph, partition=w.partition, budget=10 + copies)
+    assert result.note == "budget exhausted during copy enumeration"
 
 
 def test_budget_gives_inconclusive():
