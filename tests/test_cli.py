@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from oriograph import cli, oracles
+from oriograph import cli, generators, oracles, tiling
 from oriograph.core import parse, read_graph, read_partition, write_graph
 from oriograph.search import random_semi_regular
 
@@ -556,3 +556,16 @@ def test_lattice_exit_codes(paths, capsys, caplog, extra, expected):
     code, _ = run(capsys, *argv, *extra)
     assert code == expected
     assert all("\n" not in r.getMessage() for r in caplog.records)
+
+
+def test_budget_outranks_the_copy_cap(tmp_path, capsys, monkeypatch):
+    # the first leaf set of D in the semi-regular 8-tournament holds 3 copies
+    # after 6 nodes: under a cap of 2 copies, budget 5 trips both on it, and
+    # the budget wins
+    monkeypatch.setattr(tiling, "EDGE_CAP", 2)
+    d, host = tmp_path / "d.dg", tmp_path / "host.dg"
+    write_graph(d, generators.d_abc(1, 1, 2)[0])
+    write_graph(host, generators.semi_regular_tournament(8))
+    tile = ["tile", "--pattern", str(d), "--host", str(host), "--budget"]
+    assert run(capsys, *tile, "5") == (3, "inconclusive\n")
+    assert run(capsys, *tile, "6") == (2, "")

@@ -8,10 +8,20 @@ import pytest
 
 from oriograph.embed import count_embeddings, find_embedding, iter_embeddings, variable_order
 from oriograph.errors import BudgetExceededError
-from oriograph.generators import cycle_power, d_abc, f_r, graph_s, rotational, t_sk, transitive
+from oriograph.generators import (
+    blow_up,
+    cycle_power,
+    d_abc,
+    f_r,
+    graph_s,
+    rotational,
+    semi_regular_tournament,
+    t_sk,
+    transitive,
+)
 from oriograph.lattice import edge_vectors
 from oriograph.oracles import embeddings, random_oriented
-from oriograph.search import canonical_form, enumerate_regular_tournaments
+from oriograph.search import canonical_form, enumerate_regular_tournaments, random_semi_regular
 from oriograph.tiling import copy_hypergraph, perfect_tiling
 
 
@@ -80,6 +90,26 @@ def test_budget_raises():
         find_embedding(c62, host, budget=3)
     except BudgetExceededError as exc:
         assert exc.budget == 3
+
+
+def test_walk_work_is_pinned():
+    # the least budget at which each search answers: one node per placement,
+    # so a change to the order, the candidate rule or the node accounting
+    # moves them
+    s, (d, _) = graph_s(), d_abc(1, 1, 2)
+    cases = [
+        (s, random_semi_regular(31, seed=1), 5, 117_756),
+        (d, s, 4, 9),
+        (cycle_power(6, 2), blow_up(rotational(7, [1, 2, 4]), 3)[0], 2_478, 2_478),
+        (s, d_abc(3, 3, 3)[0], 183, 183),
+    ]
+    for pattern, host, find_nodes, count_nodes in cases:
+        for search, nodes in ((find_embedding, find_nodes), (count_embeddings, count_nodes)):
+            expected = search(pattern, host)
+            assert search(pattern, host, budget=nodes) == expected
+            with pytest.raises(BudgetExceededError):
+                search(pattern, host, budget=nodes - 1)
+    assert copy_hypergraph(d, semi_regular_tournament(32)).nodes == 24_328
 
 
 def test_enumerate_index_vectors():
