@@ -463,7 +463,9 @@ def build_parser():
     p = sub.add_parser("tile", parents=[common, budgeted], help="search for a perfect tiling")
     p.add_argument("--pattern", required=True)
     p.add_argument("--host", required=True)
-    p.add_argument("--parts", help="host partition sidecar, enables the lattice pre-check")
+    p.add_argument(
+        "--parts", help="host partition sidecar, enables the quotient bound, then the lattice pre-check"
+    )
     p.add_argument("--certificate", help="write the result JSON here as well")
     p.set_defaults(func=cmd_tile)
 

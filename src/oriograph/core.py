@@ -299,7 +299,8 @@ class Embedding(Record):
 
     def verify(self):
         phi = self.mapping
-        if len(phi) != self.pattern.n or len(set(phi)) != len(phi):
+        if (len(phi) != self.pattern.n or len(set(phi)) != len(phi)
+                or not all(0 <= w < self.host.n for w in phi)):
             return False
         return all(
             self.host.has_edge(phi[u], phi[v]) for u, v in self.pattern.edges()

@@ -11,17 +11,25 @@ are the bitwise intersection of the appropriate in/out neighbourhoods of
 the already placed neighbours, filtered by a degree precheck.  Host
 candidates are tried in ascending index, so the first embedding found is
 the lexicographically least one under the variable order, making every
-search deterministic.  The walk keeps its own stack, one slot per pattern
-vertex, so a pattern of any order is searched without deep recursion.
+search deterministic.
+
+The search is one loop, `_walk`, over the order, the edge constraints
+and the degree masks that `_plan` sets up.  The walk keeps its own
+stack, one slot per pattern vertex, so a pattern of any order is
+searched without deep recursion.  It stops short of the last slot and
+hands each of that slot's candidate sets to its consumer:
+iter_embeddings maps each candidate to an embedding, count_embeddings
+only counts them, and the copy enumeration of the tiling module ORs each
+into the mask of the vertices placed so far.
 
 Searches take an optional node budget (number of attempted vertex
-placements); exhausting it raises BudgetExceededError, which callers
-report as an inconclusive outcome distinct from "no embedding exists".
+placements, each candidate of the last slot being one); exhausting it
+raises BudgetExceededError, which callers report as an inconclusive
+outcome distinct from "no embedding exists".
 
-The order, the edge constraints and the degree masks are set up in one
-place, `_plan`, which the copy enumeration of the tiling module shares.
-That enumeration wants each copy (image set) once, not each embedding,
-and `_symmetry_conditions` gives it Grochow-Kellis conditions for that:
+The copy enumeration wants each copy (image set) once, not each
+embedding, and `_symmetry_conditions` gives it Grochow-Kellis conditions
+for that, which the walk applies as lower bounds on later slots:
 Aut(F) is computed as the embeddings of F in itself, and down a
 stabiliser chain each vertex v with a non-trivial orbit gets
 image(v) < image(u) for the other u in its orbit.  Exactly one
@@ -47,10 +55,9 @@ def variable_order(pattern):
 
 
 def _plan(pattern, host):
-    """The search set-up shared by every embedding walk: the variable
-    order, per slot the (earlier slot, True if the pattern edge runs
-    earlier -> current) constraints, and per slot the host vertices whose
-    out- and in-degrees are large enough."""
+    """The walk's set-up: the variable order, per slot the (earlier slot,
+    True if the pattern edge runs earlier -> current) constraints, and per
+    slot the host vertices whose out- and in-degrees are large enough."""
     order = variable_order(pattern)
     pos = {v: i for i, v in enumerate(order)}
     constraints = []
@@ -75,53 +82,76 @@ def _plan(pattern, host):
     return order, constraints, degree_ok
 
 
-def _mappings(pattern, host, budget=None):
-    """Yield every embedding as a tuple indexed by pattern vertex."""
+def _walk(pattern, host, conditions=(), budget=None):
+    """The embedding search, stopped short of the last slot.
+
+    For each non-empty candidate set of the last slot it yields (order,
+    image, used, rused, cand, nodes): the pattern vertices in slot order,
+    image[i] the host vertex placed in slot i before the last, used that
+    set of host vertices as a mask and rused the same mask bit-reversed
+    (host vertex w at bit n - 1 - w), the candidates for the last slot,
+    and the nodes spent so far.  The consumer may write the last slot of
+    image; the walk never reads it.
+    Every placement at an earlier slot is a node, and when resumed the
+    walk counts every candidate it yielded; past the budget either raises
+    BudgetExceededError.  A consumer that may stop partway through cand
+    counts the candidates it takes itself.  A last yield with cand 0
+    carries the total.
+    Each condition (v, u) keeps image(v) < image(u).
+    """
     np_, nh = pattern.n, host.n
-    if np_ > nh:
-        return
-    if np_ == 0:
-        yield ()
-        return
-    order, constraints, degree_ok = _plan(pattern, host)
-    full = (1 << nh) - 1
-    out_rows, in_rows = host.out_rows, host.in_rows
-    last = np_ - 1
-    # the walk keeps its own stack, one slot per pattern vertex: the host
-    # vertex placed there and the candidates not yet tried there; used is
-    # the vertices placed in the slots before slot
     image = [0] * np_
-    untried = [0] * np_
     nodes = 0
-    slot = used = 0
-    while True:
-        cand = degree_ok[slot] & ~used & full
-        for earlier, forward in constraints[slot]:
-            cand &= out_rows[image[earlier]] if forward else in_rows[image[earlier]]
-            if not cand:
-                break
+    order = ()
+    if 0 < np_ <= nh:
+        order, constraints, degree_ok = _plan(pattern, host)
+        # per slot, the earlier slots whose images bound its image from below
+        above = [()] * np_
+        for v, u in conditions:
+            above[order.index(u)] += (order.index(v),)
+        out_rows, in_rows = host.out_rows, host.in_rows
+        top = 1 << (nh - 1)
+        # the walk keeps its own stack, one slot per pattern vertex: the
+        # host vertex placed there (in image) and the candidates not yet
+        # tried there; used and rused are the vertices placed in the slots
+        # before slot
+        untried = [0] * np_
+        end = np_ - 1
+        slot = used = rused = 0
         while True:
+            cand = degree_ok[slot] & ~used
+            for earlier, forward in constraints[slot]:
+                cand &= out_rows[image[earlier]] if forward else in_rows[image[earlier]]
+                if not cand:
+                    break
+            else:
+                for earlier in above[slot]:
+                    cand &= -2 << image[earlier]
+            if cand and slot == end:
+                yield order, image, used, rused, cand, nodes
+                nodes += cand.bit_count()
+                if budget is not None and nodes > budget:
+                    raise BudgetExceededError(budget)
+                cand = 0
             while not cand and slot:
                 slot -= 1
-                used ^= 1 << image[slot]
+                w = image[slot]
+                used ^= 1 << w
+                rused ^= top >> w
                 cand = untried[slot]
             if not cand:
-                return
+                break
             low = cand & -cand
-            cand ^= low
+            untried[slot] = cand ^ low
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceededError(budget)
-            image[slot] = low.bit_length() - 1
-            if slot < last:
-                break
-            mapping = [0] * np_
-            for i, v in enumerate(order):
-                mapping[v] = image[i]
-            yield tuple(mapping)
-        untried[slot] = cand
-        used |= low
-        slot += 1
+            w = low.bit_length() - 1
+            image[slot] = w
+            used |= low
+            rused |= top >> w
+            slot += 1
+    yield order, image, 0, 0, 0, nodes
 
 
 def _symmetry_conditions(pattern):
@@ -134,7 +164,7 @@ def _symmetry_conditions(pattern):
     first of its orbit to be placed, so every condition bounds a later
     slot from below.
     """
-    auts = list(_mappings(pattern, pattern))
+    auts = [emb.mapping for emb in iter_embeddings(pattern, pattern)]
     conditions = []
     for v in variable_order(pattern):
         orbit = sorted({a[v] for a in auts})
@@ -145,8 +175,21 @@ def _symmetry_conditions(pattern):
 
 
 def iter_embeddings(pattern, host, budget=None):
-    for mapping in _mappings(pattern, host, budget):
-        yield Embedding(pattern, host, mapping)
+    if not pattern.n:
+        yield Embedding(pattern, host, ())
+        return
+    mapping = [0] * pattern.n
+    for order, image, _, _, cand, nodes in _walk(pattern, host, budget=budget):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError(budget)
+            image[-1] = low.bit_length() - 1
+            for v, w in zip(order, image):
+                mapping[v] = w
+            yield Embedding(pattern, host, tuple(mapping))
 
 
 def find_embedding(pattern, host, budget=None):
@@ -158,4 +201,6 @@ def find_embedding(pattern, host, budget=None):
 
 def count_embeddings(pattern, host, budget=None):
     """Number of injective orientation-preserving maps pattern -> host."""
-    return sum(1 for _ in _mappings(pattern, host, budget))
+    if not pattern.n:
+        return 1
+    return sum(cand.bit_count() for *_, cand, _ in _walk(pattern, host, budget=budget))

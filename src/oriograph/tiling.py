@@ -8,15 +8,15 @@ induced).  The vertex sets of the copies of F in G form a k-uniform
 hypergraph on V(G); a perfect tiling is exactly a perfect matching of
 that hypergraph, i.e. an exact cover of V(G) by hyperedges.
 
-Copies are enumerated as vertex masks by the embedding search's walk
-(the same plan as in embed, one node per placement), except that at the
-last pattern vertex each candidate bit is ORed into the mask of the
-vertices placed so far instead of being mapped.  The walk keeps its own
-stack, one slot per pattern vertex, so a pattern of any order is walked
-without deep recursion.  A tournament pattern walks under its
-Grochow-Kellis symmetry conditions (see embed), which reach every copy
-exactly once; any other pattern can have embeddings with one image set
-that no automorphism relates, so its masks are deduplicated.
+Copies are enumerated as vertex masks by the embedding walk (see embed),
+one node per placement; at the last pattern vertex each candidate bit is
+ORed into the mask of the vertices placed so far instead of being
+mapped.  A tournament pattern walks under its Grochow-Kellis symmetry
+conditions (see embed), which reach every copy exactly once; any other
+pattern can have embeddings with one image set that no automorphism
+relates, so its masks are deduplicated.  Each mask is kept under its bit
+reversal, which puts vertex 0 on top, so the reversed masks in
+descending order list the sets in lexicographic order.
 
 The solver is an exact-cover search on option bitsets (Knuth's
 "Algorithm X" branching rule, without the dancing links): option i is
@@ -48,7 +48,7 @@ from itertools import repeat
 from . import lattice
 from .core import Embedding, Record, bits
 from .errors import BudgetExceededError, ResourceLimitError
-from .embed import _plan, _symmetry_conditions, find_embedding
+from .embed import _symmetry_conditions, _walk, find_embedding
 
 FOUND = "found"
 REFUTED_EXHAUSTIVE = "refuted-exhaustive"
@@ -86,70 +86,23 @@ def copy_hypergraph(pattern, host, budget=None):
     the budget."""
     if pattern.n == 0:
         raise ValueError("pattern must have at least one vertex")
-    np_, nh = pattern.n, host.n
-    if np_ > nh:
-        return CopyHypergraph(n=nh, k=np_, edges=(), nodes=0)
-    order, constraints, degree_ok = _plan(pattern, host)
-    pos = {v: i for i, v in enumerate(order)}
-    # slot of u -> slots of the v that must map below it
-    above = [[] for _ in order]
-    for v, u in _symmetry_conditions(pattern) if pattern.is_tournament() else ():
-        above[pos[u]].append(pos[v])
-    full = (1 << nh) - 1
-    top = 1 << (nh - 1)
-    out_rows, in_rows = host.out_rows, host.in_rows
-    last = np_ - 1
-    # the walk keeps its own stack, one slot per pattern vertex: the host
-    # vertex placed there and the candidates not yet tried there; used and
-    # rused (bit-reversed) are the vertices placed in the slots before slot
-    image = [0] * np_
-    untried = [0] * np_
-    # bit-reversed mask -> mask, which also dedupes: reversing puts vertex
-    # 0 on top, so for sets of one size the descending order of the
-    # reversed masks is the lexicographic order of the sets
-    found = {}
-    nodes = 0
-    slot = used = rused = 0
-    while True:
-        cand = degree_ok[slot] & ~used & full
-        for earlier, forward in constraints[slot]:
-            cand &= out_rows[image[earlier]] if forward else in_rows[image[earlier]]
-            if not cand:
-                break
-        else:
-            for earlier in above[slot]:
-                cand &= -2 << image[earlier]
-        if slot == last:
-            if cand:
-                nodes += cand.bit_count()
-                if budget is not None and nodes > budget:
-                    raise BudgetExceededError(budget)
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    found[rused | top >> (low.bit_length() - 1)] = used | low
-                if len(found) > EDGE_CAP:
-                    raise ResourceLimitError(f"copy enumeration exceeded the edge cap of {EDGE_CAP}")
-        while not cand and slot:
-            slot -= 1
-            w = image[slot]
-            used ^= 1 << w
-            rused ^= top >> w
-            cand = untried[slot]
-        if not cand:
-            break
-        low = cand & -cand
-        untried[slot] = cand ^ low
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceededError(budget)
-        w = low.bit_length() - 1
-        image[slot] = w
-        used |= low
-        rused |= top >> w
-        slot += 1
+    conditions = _symmetry_conditions(pattern) if pattern.is_tournament() else ()
+    found = {}  # bit-reversed mask -> mask
+    top = 1 << host.n >> 1  # the bit of vertex 0 in a reversed mask
+    for _, _, used, rused, cand, nodes in _walk(pattern, host, conditions, budget):
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            found[rused | top >> (low.bit_length() - 1)] = used | low
+        if len(found) > EDGE_CAP:
+            # the budget outranks the cap: the walk counts these candidates
+            # against it when resumed
+            if budget is not None and nodes + cand.bit_count() > budget:
+                raise BudgetExceededError(budget)
+            raise ResourceLimitError(f"copy enumeration exceeded the edge cap of {EDGE_CAP}")
     edges = tuple(found[r] for r in sorted(found, reverse=True))
-    return CopyHypergraph(n=nh, k=np_, edges=edges, nodes=nodes)
+    return CopyHypergraph(n=host.n, k=pattern.n, edges=edges, nodes=nodes)
 
 
 # _BIT_ROWS[j] maps a byte to b"1" if its bit j is set, else to b"0"

@@ -189,9 +189,10 @@ def check_tsk_semi_regular(p):
 
 def tsk_refutations(p, lattice_only):
     """Refute a D_s-factor of t_sk(s, k) for (s, k) in (2,0), (2,1), (3,1),
-    by exhaustive cover search or, with lattice_only, by the lattice
-    pre-check on the planted partition; a lattice that fails to refute
-    lets the cover search run and reads FAIL.  Returns (status, modes)."""
+    by exhaustive cover search or, with lattice_only, by a residue lattice
+    on the planted partition (the quotient bound's, or else the copies' in
+    the lattice pre-check); a lattice that fails to refute lets the cover
+    search run and reads FAIL.  Returns (status, modes)."""
     wanted = tiling.REFUTED_LATTICE if lattice_only else tiling.REFUTED_EXHAUSTIVE
     modes = {}
     for s, k in ((2, 0), (2, 1), (3, 1)):

@@ -128,6 +128,10 @@ def test_embedding_verify():
     assert Embedding(pattern, host, (2, 0)).verify()
     assert not Embedding(pattern, host, (0, 2)).verify()
     assert not Embedding(pattern, host, (1, 1)).verify()
+    # images outside the host: -1 would wrap to vertex 2, 3 is past it, and
+    # a negative head would be a negative shift
+    for mapping in ((-1, 0), (3, 0), (0, -1)):
+        assert not Embedding(pattern, host, mapping).verify(), mapping
     emb = Embedding(pattern, host, (2, 0))
     assert emb.index_vector(Partition([[0], [1], [2]])) == (1, 0, 1)
 

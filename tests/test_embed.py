@@ -1,11 +1,14 @@
 """Embedding search against a brute-force permutation oracle."""
 
+import ast
 import gc
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
+import oriograph
 from oriograph.embed import count_embeddings, find_embedding, iter_embeddings, variable_order
 from oriograph.errors import BudgetExceededError
 from oriograph.generators import (
@@ -43,6 +46,25 @@ def test_known_non_containments():
     for size in (1, 2, 3):
         host, _ = d_abc(size, size, size)
         assert find_embedding(s, host) is None
+
+
+def test_oracles_import_no_kernel():
+    # an oracle that called the kernel it checks would vouch for nothing:
+    # of the package, oracles.py may import only core
+    tree = ast.parse((Path(oriograph.__file__).parent / "oracles.py").read_text())
+    imported = set()  # the package's modules, by full name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "oriograph." + module if module else "oriograph"
+            names = [module] if module != "oriograph" else [f"oriograph.{a.name}" for a in node.names]
+        else:
+            continue
+        imported |= {name for name in names if name.split(".")[0] == "oriograph"}
+    assert imported <= {"oriograph.core"}, imported
 
 
 def test_oracle_agreement_on_random_instances():
@@ -122,7 +144,7 @@ def test_enumerate_index_vectors():
 
 
 def test_pattern_deeper_than_the_recursion_limit():
-    # both walks keep one stack slot per pattern vertex, not one frame
+    # the walk keeps one stack slot per pattern vertex, not one frame
     n = sys.getrecursionlimit() + 10
     t = transitive(n)
     assert find_embedding(t, t).mapping == tuple(range(n))
