@@ -5,19 +5,22 @@ embedding and tiling searches on .dg files, produce lattice and vertex
 statistic reports, drive the enumeration/sampling probes, and replay the
 built-in claim checklist.
 
-Exit codes: 0 success / found / verified, 1 not found / refuted,
-2 usage or I/O error or a resource cap hit, 3 search gave up on its node
-budget, or `analyze --stats extremal` found no partition by local search
-(a heuristic miss, not a refutation; when no part sizes fit the window,
-it refutes without a search).  The probes exit by their report's
-"outcome".  Inputs are checked where they are
+Every command returns its outcome, a document and the lines of its
+human-readable report; main prints the document under --json (one JSON
+document, sorted keys) or else the lines, and reads the exit code from
+EXIT by outcome: 0 "found" (a copy, a tiling, a verified claim, or a
+report), 1 "refuted" (a proof that there is none, or a failed check)
+and 3 "inconclusive" (a search gave up on its node budget, or
+`analyze --stats extremal` found no partition by local search, a
+heuristic miss; when no part sizes fit the window, it refutes without a
+search).  The probes answer with their report's "outcome".  Exits 2 and
+4 come only from main's handlers: 2 for a usage or I/O error or a
+resource cap hit, 4 for any other exception, a fault of the program,
+whose traceback goes to stderr.  Inputs are checked where they are
 read, before any search, so a --parts file that does not cover exactly
 the host's vertices 0..n-1 exits 2 whatever the budget and the orders.
-Any other exception is a fault of the program: its traceback goes to
-stderr and the exit is 4.  `lattice --target` refutes (exit 1) only at
---threshold 1, where the lattice is built from every copy vector.  With
---json a single JSON document (sorted keys) goes to stdout; logs go to
-stderr.
+`lattice --target` refutes only at --threshold 1, where the lattice is
+built from every copy vector.  Logs go to stderr.
 """
 
 from __future__ import annotations
@@ -37,22 +40,23 @@ from .core import (
     write_graph,
     write_partition,
 )
-from .errors import BudgetExceededError, ParseError, ResourceLimitError
+from .errors import BudgetExceededError, ResourceLimitError
 
 log = logging.getLogger("oriograph")
 
 
-def _emit(args, doc, human):
-    if args.json:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        human()
+# the exit code of each outcome: a copy or tiling found, a proof there is
+# none, or a budget that ran out; 2 and 4 come only from main's handlers
+EXIT = {"found": 0, "refuted": 1, "inconclusive": 3}
 
 
-def _print_table(rows, header):
+def _answer(found):
+    return "found" if found else "refuted"
+
+
+def _table(rows, header):
     widths = [max(len(str(r[i])) for r in [header, *rows]) for i in range(len(header))]
-    for row in [header, *rows]:
-        print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+    return ["  ".join(str(c).ljust(w) for c, w in zip(row, widths)) for row in [header, *rows]]
 
 
 # generate
@@ -92,13 +96,11 @@ def cmd_generate(args):
             write_partition(sidecar, partition)
             doc["parts"] = sidecar
         log.info("wrote %s (n=%d, m=%d)", args.output, graph.n, graph.edge_count)
-        _emit(args, doc, lambda: None)
-        return 0
+        return "found", doc, []
     doc = {"dg": serialize(graph)}
     if partition is not None:
         doc["parts"] = serialize_partition(partition)
-    _emit(args, doc, lambda: print(doc["dg"], end=""))
-    return 0
+    return "found", doc, doc["dg"].splitlines()
 
 
 def _read_parts(args, host):
@@ -122,22 +124,18 @@ def cmd_embed(args):
             raise ValueError("--vectors needs --parts")
         hyper = tiling.copy_hypergraph(pattern, host, budget=args.budget)
         vecs = sorted(lattice.edge_vectors(hyper, partition).vectors)
-        doc = {"index_vectors": [list(v) for v in vecs]}
-        _emit(args, doc, lambda: [print(",".join(map(str, v))) for v in vecs])
-        return 0 if vecs else 1
+        lines = [",".join(map(str, v)) for v in vecs]
+        return _answer(vecs), {"index_vectors": [list(v) for v in vecs]}, lines
     if args.count:
         n = embed.count_embeddings(pattern, host, budget=args.budget)
-        _emit(args, {"count": n}, lambda: print(n))
-        return 0 if n else 1
+        return _answer(n), {"count": n}, [str(n)]
     emb = embed.find_embedding(pattern, host, budget=args.budget)
     if emb is None:
-        _emit(args, {"found": False}, lambda: print("not found"))
-        return 1
+        return "refuted", {"found": False}, ["not found"]
     doc = {"found": True, "mapping": list(emb.mapping)}
     if partition is not None:
         doc["index_vector"] = list(emb.index_vector(partition))
-    _emit(args, doc, lambda: print(" ".join(map(str, emb.mapping))))
-    return 0
+    return "found", doc, [" ".join(map(str, emb.mapping))]
 
 
 # tile
@@ -148,8 +146,10 @@ def cmd_tile(args):
     partition = _read_parts(args, host)
     result = tiling.perfect_tiling(pattern, host, partition=partition, budget=args.budget)
     doc = {"mode": result.mode}
+    lines = [result.mode]
     if result.tiling is not None:
         doc["copies"] = [sorted(c) for c in result.tiling.copies]
+        lines += [" ".join(map(str, copy)) for copy in doc["copies"]]
     if result.note:
         doc["note"] = result.note
     if args.certificate:
@@ -157,19 +157,7 @@ def cmd_tile(args):
             json.dump(doc, fh, sort_keys=True, indent=2)
             fh.write("\n")
         log.info("certificate written to %s", args.certificate)
-
-    def human():
-        print(result.mode)
-        if result.tiling is not None:
-            for copy in doc["copies"]:
-                print(" ".join(map(str, copy)))
-
-    _emit(args, doc, human)
-    if result.mode == tiling.FOUND:
-        return 0
-    if result.mode == tiling.INCONCLUSIVE:
-        return 3
-    return 1
+    return tiling.OUTCOME[result.mode], doc, lines
 
 
 # lattice
@@ -198,32 +186,25 @@ def cmd_lattice(args):
         "modulus": modulus,
         "lattice_size": lat.size,
     }
-    verdict = None
-    if args.target:
-        target = tuple(int(x) for x in args.target.split(","))
-        if len(target) != partition.d:
-            raise ValueError(f"--target needs {partition.d} comma-separated entries")
-        verdict = target in lat
-        doc["target"] = list(target)
-        doc["target_in_lattice"] = verdict
-
-    def human():
-        print(f"copies: {doc['copies']}")
-        rows = [(k, v) for k, v in doc["vectors"].items()]
-        _print_table(rows, ("vector", "count"))
-        print(f"robust at threshold {args.threshold}: {doc['robust_vectors']}")
-        print(f"2-transferrals: {len(transferrals)}")
-        print(f"residue lattice mod {modulus}: {doc['lattice_size']} classes")
-        if verdict is not None:
-            word = "inside" if verdict else "OUTSIDE"
-            print(f"target {doc['target']} is {word} the lattice")
-
-    _emit(args, doc, human)
+    lines = [
+        f"copies: {doc['copies']}",
+        *_table(list(doc["vectors"].items()), ("vector", "count")),
+        f"robust at threshold {args.threshold}: {doc['robust_vectors']}",
+        f"2-transferrals: {len(transferrals)}",
+        f"residue lattice mod {modulus}: {doc['lattice_size']} classes",
+    ]
+    if not args.target:
+        return "found", doc, lines
+    target = tuple(int(x) for x in args.target.split(","))
+    if len(target) != partition.d:
+        raise ValueError(f"--target needs {partition.d} comma-separated entries")
+    verdict = target in lat
+    doc["target"] = list(target)
+    doc["target_in_lattice"] = verdict
+    lines.append(f"target {doc['target']} is {'inside' if verdict else 'OUTSIDE'} the lattice")
     # Above threshold 1 the lattice comes from a subset of the copy
     # vectors, so a target outside it is no refutation.
-    if verdict is False and args.threshold == 1:
-        return 1
-    return 0
+    return ("refuted" if not verdict and args.threshold == 1 else "found"), doc, lines
 
 
 # analyze
@@ -240,22 +221,12 @@ def cmd_analyze(args):
             if not analysis.extremal_sizes_fit(host.n, gamma):
                 # no three part sizes fit the window: a refutation, with no search
                 doc = {"gamma": gamma, "extremal": False, "note": "refuted: no part sizes fit the window"}
-                _emit(
-                    args,
-                    doc,
-                    lambda: print(f"extremal at gamma={gamma}: False (no part sizes fit the window)"),
-                )
-                return 1
+                return "refuted", doc, [f"extremal at gamma={gamma}: False (no part sizes fit the window)"]
             partition = analysis.find_extremal_partition(host, gamma, seed=seed)
         if partition is None:
             # a local-search miss rules no partition out
             doc = {"gamma": gamma, "extremal": None, "note": "inconclusive: local search found no partition"}
-            _emit(
-                args,
-                doc,
-                lambda: print(f"extremal at gamma={gamma}: inconclusive (local search found no partition)"),
-            )
-            return 3
+            return "inconclusive", doc, [f"extremal at gamma={gamma}: inconclusive (local search found no partition)"]
         verdict = analysis.extremal_check(host, partition, gamma)
         doc = {
             "gamma": gamma,
@@ -264,14 +235,12 @@ def cmd_analyze(args):
             "reverse_counts": list(verdict.reverse_counts),
             "parts": serialize_partition(partition),
         }
-
-        def human():
-            print(f"extremal at gamma={gamma}: {verdict.ok}")
-            print(f"part sizes {list(verdict.sizes)}")
-            print(f"reverse class counts {list(verdict.reverse_counts)}")
-
-        _emit(args, doc, human)
-        return 0 if verdict.ok else 1
+        lines = [
+            f"extremal at gamma={gamma}: {verdict.ok}",
+            f"part sizes {list(verdict.sizes)}",
+            f"reverse class counts {list(verdict.reverse_counts)}",
+        ]
+        return _answer(verdict.ok), doc, lines
     cls = host.classify()
     lo, hi = analysis.cyclic_edge_window(host)
     floor = analysis.d_copies_floor(host)
@@ -306,16 +275,14 @@ def cmd_analyze(args):
             for v, o, i, ce, dc in rows
         ],
     }
-
-    def human():
-        kind = "tournament" if cls.is_tournament else "oriented graph"
-        print(f"{kind} on {host.n} vertices, {host.edge_count} edges")
-        print(f"min semi-degree {cls.min_semi_degree}, semi-regular: {cls.is_semi_regular}")
-        print(f"cyclic edge window [{float(lo):g}, {float(hi):g}], copy floor {float(floor):g}")
-        _print_table(rows, ("v", "out", "in", "cyclic", "copies"))
-
-    _emit(args, doc, human)
-    return 0
+    kind = "tournament" if cls.is_tournament else "oriented graph"
+    lines = [
+        f"{kind} on {host.n} vertices, {host.edge_count} edges",
+        f"min semi-degree {cls.min_semi_degree}, semi-regular: {cls.is_semi_regular}",
+        f"cyclic edge window [{float(lo):g}, {float(hi):g}], copy floor {float(floor):g}",
+        *_table(rows, ("v", "out", "in", "cyclic", "copies")),
+    ]
+    return "found", doc, lines
 
 
 # search
@@ -327,51 +294,41 @@ def _parse_sizes(text):
     return sizes
 
 
-# the exit code of a probe's outcome
-PROBE_EXIT = {"found": 0, "refuted": 1, "inconclusive": 3}
+def cmd_enumerate_rt(args):
+    reps = search.enumerate_regular_tournaments(args.n)
+    doc = {
+        "n": args.n,
+        "classes": len(reps),
+        "graphs": [serialize(g) for g in reps],
+    }
+    if args.out_dir:
+        os.makedirs(args.out_dir, exist_ok=True)
+        for i, g in enumerate(reps):
+            write_graph(os.path.join(args.out_dir, f"rt{args.n}-{i}.dg"), g)
+        doc["written"] = args.out_dir
+    return "found", doc, [f"{len(reps)} isomorphism classes of regular tournaments on {args.n} vertices"]
 
 
-def cmd_search(args):
-    if args.search_cmd == "enumerate-rt":
-        reps = search.enumerate_regular_tournaments(args.n)
-        doc = {
-            "n": args.n,
-            "classes": len(reps),
-            "graphs": [serialize(g) for g in reps],
-        }
-        if args.out_dir:
-            os.makedirs(args.out_dir, exist_ok=True)
-            for i, g in enumerate(reps):
-                write_graph(os.path.join(args.out_dir, f"rt{args.n}-{i}.dg"), g)
-            doc["written"] = args.out_dir
-        _emit(
-            args,
-            doc,
-            lambda: print(f"{len(reps)} isomorphism classes of regular tournaments on {args.n} vertices"),
-        )
-        return 0
-    if args.search_cmd == "probe":
-        if args.mode == "exhaustive" and (args.samples is not None or args.seed is not None):
-            raise ValueError("--samples and --seed are read only with --mode sample")
-        pattern = read_graph(args.pattern)
-        report = search.turanability_probe(
-            pattern,
-            sizes=_parse_sizes(args.n),
-            mode=args.mode,
-            samples=args.samples if args.samples is not None else 20,
-            seed=args.seed if args.seed is not None else "0",
-            budget=args.budget,
-        )
+def cmd_probe(args):
+    if args.mode == "exhaustive" and (args.samples is not None or args.seed is not None):
+        raise ValueError("--samples and --seed are read only with --mode sample")
+    pattern = read_graph(args.pattern)
+    report = search.turanability_probe(
+        pattern,
+        sizes=_parse_sizes(args.n),
+        mode=args.mode,
+        samples=args.samples if args.samples is not None else 20,
+        seed=args.seed if args.seed is not None else "0",
+        budget=args.budget,
+    )
+    lines = [
+        f"n={entry['n']}: {entry['containing']}/{entry['population']} hosts contain the pattern"
+        for entry in report["per_n"]
+    ]
+    return report["outcome"], report, [*lines, report["note"]]
 
-        def human():
-            for entry in report["per_n"]:
-                print(
-                    f"n={entry['n']}: {entry['containing']}/{entry['population']} hosts contain the pattern"
-                )
-            print(report["note"])
 
-        _emit(args, report, human)
-        return PROBE_EXIT[report["outcome"]]
+def cmd_tile_probe(args):
     pattern = read_graph(args.pattern)
     report = search.tileability_probe(
         pattern,
@@ -380,17 +337,12 @@ def cmd_search(args):
         seed=args.seed,
         budget=args.budget,
     )
-
-    def human():
-        for entry in report["per_n"]:
-            if "skipped" in entry:
-                print(f"n={entry['n']}: skipped ({entry['skipped']})")
-            else:
-                print(f"n={entry['n']}: {entry['tiled']}/{entry['samples']} samples tiled")
-        print(report["note"])
-
-    _emit(args, report, human)
-    return PROBE_EXIT[report["outcome"]]
+    lines = [
+        f"n={entry['n']}: skipped ({entry['skipped']})" if "skipped" in entry
+        else f"n={entry['n']}: {entry['tiled']}/{entry['samples']} samples tiled"
+        for entry in report["per_n"]
+    ]
+    return report["outcome"], report, [*lines, report["note"]]
 
 
 # verify-paper
@@ -400,18 +352,15 @@ def cmd_verify_paper(args):
         print(f"{name} {seconds:.3f}", file=sys.stderr)
 
     report = verify.run_checks(args.profile, on_timing=timing if args.timings else None)
-
-    def human():
-        for check in report["checks"]:
-            status = check["status"]
-            if status == verify.INCONCLUSIVE:
-                status = "INCONCLUSIVE(budget)"
-            print(f"{status:20s} {check['name']}")
-        s = report["summary"]
-        print(f"{s['pass']} pass, {s['fail']} fail, {s['inconclusive']} inconclusive")
-
-    _emit(args, report, human)
-    return 0 if report["summary"]["fail"] == 0 else 1
+    lines = []
+    for check in report["checks"]:
+        status = check["status"]
+        if status == verify.INCONCLUSIVE:
+            status = "INCONCLUSIVE(budget)"
+        lines.append(f"{status:20s} {check['name']}")
+    s = report["summary"]
+    lines.append(f"{s['pass']} pass, {s['fail']} fail, {s['inconclusive']} inconclusive")
+    return _answer(s["fail"] == 0), report, lines
 
 
 def _positive_int(text):
@@ -498,7 +447,7 @@ def build_parser():
     q = ssub.add_parser("enumerate-rt", parents=[common], help="regular tournaments up to isomorphism")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--out-dir", help="also write each class as a .dg file")
-    q.set_defaults(func=cmd_search)
+    q.set_defaults(func=cmd_enumerate_rt)
     q = ssub.add_parser(
         "probe", parents=[common, budgeted], help="pattern containment over tournament corpora"
     )
@@ -508,7 +457,7 @@ def build_parser():
     # read only by --mode sample; default None so that exhaustive mode can reject them
     q.add_argument("--samples", type=_positive_int, default=None, help="hosts per order (default 20)")
     q.add_argument("--seed", default=None, help="seed for the sampled hosts (default 0)")
-    q.set_defaults(func=cmd_search)
+    q.set_defaults(func=cmd_probe)
     q = ssub.add_parser(
         "tile-probe", parents=[common, budgeted, seeded], help="perfect-tiling evidence over samples"
     )
@@ -518,7 +467,7 @@ def build_parser():
         help="comma-separated host orders, at least one divisible by the pattern order",
     )
     q.add_argument("--samples", type=_positive_int, default=20)
-    q.set_defaults(func=cmd_search)
+    q.set_defaults(func=cmd_tile_probe)
 
     p = sub.add_parser("verify-paper", parents=[common], help="replay the built-in claim checklist")
     p.add_argument("--profile", choices=sorted(verify.PROFILES), default="full")
@@ -538,13 +487,17 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        outcome, doc, lines = args.func(args)
+        code = EXIT[outcome]
+        if args.json:
+            print(json.dumps(doc, sort_keys=True, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except BudgetExceededError as exc:
         log.error("search budget of %s nodes exhausted", exc.budget)
-        return 3
-    except ParseError as exc:
-        log.error("%s", exc)
-        return 2
+        return EXIT["inconclusive"]
     except (OSError, ValueError, ResourceLimitError) as exc:
         log.error("%s", exc)
         return 2

@@ -61,7 +61,7 @@ from .core import OrientedGraph, bits, serialize
 from .embed import find_embedding
 from .errors import BudgetExceededError
 from .generators import semi_regular_tournament
-from .tiling import FOUND, INCONCLUSIVE, perfect_tiling
+from .tiling import FOUND, INCONCLUSIVE, OUTCOME, perfect_tiling
 
 
 def canonical_form(graph):
@@ -394,7 +394,7 @@ def tileability_probe(pattern, sizes, samples=20, seed=0, budget=None):
         "seed": seed,
         "note": "finite evidence only, no claim beyond the sizes listed",
         "per_n": per_n,
-        "outcome": _outcome(bool(modes - {FOUND, INCONCLUSIVE}), INCONCLUSIVE in modes),
+        "outcome": _outcome(any(OUTCOME[m] == "refuted" for m in modes), INCONCLUSIVE in modes),
     }
 
 

@@ -55,6 +55,15 @@ REFUTED_EXHAUSTIVE = "refuted-exhaustive"
 REFUTED_LATTICE = "refuted-lattice"
 REFUTED_DIVISIBILITY = "refuted-divisibility"
 INCONCLUSIVE = "inconclusive"
+# the answer each mode gives: a tiling, a proof there is none, or a budget
+# that ran out
+OUTCOME = {
+    FOUND: "found",
+    REFUTED_EXHAUSTIVE: "refuted",
+    REFUTED_LATTICE: "refuted",
+    REFUTED_DIVISIBILITY: "refuted",
+    INCONCLUSIVE: "inconclusive",
+}
 
 EDGE_CAP = 10_000_000
 PACK_CHUNK = 1024

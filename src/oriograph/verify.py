@@ -221,44 +221,37 @@ def _refutation_status(mode, wanted):
     return FAIL
 
 def check_copy_index_vectors(p):
-    try:
-        w21 = generators.t_sk(2, 1)
-        d2, _ = generators.d_abc(2, 2, 2)
-        hyper2 = tiling.copy_hypergraph(d2, w21.graph, budget=p["budget"])
-        vecs2 = lattice.edge_vectors(hyper2, w21.partition).vectors
-    except BudgetExceededError:
-        return (INCONCLUSIVE, {"note": "budget exhausted during copy enumeration"})
-    detail = {
-        "six_vertex_vectors": sorted(map(list, vecs2)),
-        "six_vertex_within_pattern": vecs2 <= TEN_VECTORS,
-    }
-    ok = bool(vecs2) and detail["six_vertex_within_pattern"]
+    cases = [(2, "six", TEN_VECTORS)]
     if p["nine_vertex_vectors"]:
+        cases.append((3, "nine", FOUR_VECTORS))
+    detail = {"nine_vertex_vectors": "skipped under this profile"}
+    ok = True
+    for s, name, allowed in cases:
+        w = generators.t_sk(s, 1)
+        pattern, _ = generators.d_abc(s, s, s)
         try:
-            w31 = generators.t_sk(3, 1)
-            d3, _ = generators.d_abc(3, 3, 3)
-            hyper3 = tiling.copy_hypergraph(d3, w31.graph, budget=p["budget"])
-            vecs3 = lattice.edge_vectors(hyper3, w31.partition).vectors
+            hyper = tiling.copy_hypergraph(pattern, w.graph, budget=p["budget"])
         except BudgetExceededError:
             return (INCONCLUSIVE, {"note": "budget exhausted during copy enumeration"})
-        detail["nine_vertex_vectors"] = sorted(map(list, vecs3))
-        detail["nine_vertex_within_pattern"] = vecs3 <= FOUR_VECTORS
-        ok = ok and bool(vecs3) and detail["nine_vertex_within_pattern"]
-    else:
-        detail["nine_vertex_vectors"] = "skipped under this profile"
+        vecs = lattice.edge_vectors(hyper, w.partition).vectors
+        detail[f"{name}_vertex_vectors"] = sorted(map(list, vecs))
+        detail[f"{name}_vertex_within_pattern"] = vecs <= allowed
+        ok = ok and bool(vecs) and vecs <= allowed
     return (_status(ok), detail)
 
 def check_c3_barrier_family(p):
     triangle = generators.f_r(1)
     allowed = {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)}
     detail = {}
-    ok = True
-    inconclusive = False
+    statuses = []
     for n in (2, 3, 4):
         host, part = generators.c3_barrier(n)
         d0 = host.min_semi_degree()
         result = tiling.perfect_tiling(triangle, host, budget=p["budget"])
-        hyper = tiling.copy_hypergraph(triangle, host)
+        try:
+            hyper = tiling.copy_hypergraph(triangle, host, budget=p["budget"])
+        except BudgetExceededError:
+            return (INCONCLUSIVE, {"note": "budget exhausted during copy enumeration"})
         report = lattice.edge_vectors(hyper, part, threshold=1)
         transferrals = lattice.find_2_transferrals(report)
         entry = {
@@ -268,17 +261,11 @@ def check_c3_barrier_family(p):
             "two_transferrals": len(transferrals),
         }
         detail[f"n={n}"] = entry
-        if result.mode == tiling.INCONCLUSIVE:
-            inconclusive = True
-        ok = ok and (
-            d0 == (3 * n - 3) // 2
-            and result.mode in (tiling.REFUTED_EXHAUSTIVE, tiling.INCONCLUSIVE)
-            and entry["vectors_within_pattern"]
-            and not transferrals
+        statuses += (
+            _refutation_status(result.mode, tiling.REFUTED_EXHAUSTIVE),
+            _status(d0 == (3 * n - 3) // 2 and entry["vectors_within_pattern"] and not transferrals),
         )
-    if not ok:
-        return (FAIL, detail)
-    return (INCONCLUSIVE if inconclusive else PASS, detail)
+    return (_worst(statuses), detail)
 
 def check_degree_statistic_windows(p, seed="verify"):
     sizes = list(range(11, 32))

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, JSON output, file round trips."""
 
+import ast
 import hashlib
 import json
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oriograph import cli, generators, oracles, tiling
+from oriograph import cli, generators, oracles, search, tiling, verify
 from oriograph.core import parse, read_graph, read_partition, write_graph
 from oriograph.search import random_semi_regular
 
@@ -476,6 +477,61 @@ def test_internal_errors_exit_4(monkeypatch, paths, caplog):
     [record] = caplog.records
     assert record.getMessage() == "internal error"
     assert record.exc_info[0] is RuntimeError
+
+
+def test_an_outcome_outside_the_table_exits_4(monkeypatch, paths, caplog, capsys):
+    # an answer the table does not know is a fault of the program, never exit 1
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: ("maybe", {}, []))
+    assert cli.main(["analyze", "--host", paths["t7"]]) == 4
+    [record] = caplog.records
+    assert record.getMessage() == "internal error"
+    assert record.exc_info[0] is KeyError
+    assert capsys.readouterr().out == ""
+
+
+def test_every_answer_is_an_outcome_of_the_table():
+    modes = {
+        tiling.FOUND,
+        tiling.REFUTED_EXHAUSTIVE,
+        tiling.REFUTED_LATTICE,
+        tiling.REFUTED_DIVISIBILITY,
+        tiling.INCONCLUSIVE,
+    }
+    assert set(tiling.OUTCOME) == modes
+    assert set(tiling.OUTCOME.values()) == set(cli.EXIT)
+    flags = (False, True)
+    assert {search._outcome(r, g) for r in flags for g in flags} == set(cli.EXIT)
+    assert set(verify.PROBE_STATUS) == set(cli.EXIT)
+    assert cli.EXIT == {"found": 0, "refuted": 1, "inconclusive": 3}
+
+
+def test_exit_codes_0_1_3_come_only_from_the_table():
+    # exit 1 means "refuted" only while no command can reach it but by
+    # returning the outcome that EXIT maps to it
+    def literals(outcome):  # the literals a returned outcome can take
+        if isinstance(outcome, ast.IfExp):
+            return literals(outcome.body) + literals(outcome.orelse)
+        return [outcome.value] if isinstance(outcome, ast.Constant) else []
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_"):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Return):
+                    value = node.value
+                    assert isinstance(value, ast.Tuple) and len(value.elts) == 3, (fn.name, node.lineno)
+                    assert set(literals(value.elts[0])) <= set(cli.EXIT), (fn.name, node.lineno)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant):
+            assert node.value.value not in (0, 1, 3), node.lineno
+    tables = [
+        node.targets[0].id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Dict)
+        and any(isinstance(v, ast.Constant) and type(v.value) is int for v in node.value.values)
+    ]
+    assert tables == ["EXIT"]
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -492,3 +492,12 @@ def test_verify_evidence_checks_are_inconclusive_out_of_budget():
     status, detail = verify.check_d_tiling_in_samples(starved)
     assert status == verify.INCONCLUSIVE
     assert detail["n=8"] == {"tiled": 0, "samples": 2}
+
+
+def test_verify_copy_checks_are_inconclusive_out_of_budget():
+    # the profile's budget caps every copy enumeration in verify, the
+    # c3-barrier check's included
+    starved = dict(SMALL, budget=1)
+    note = {"note": "budget exhausted during copy enumeration"}
+    assert verify.check_copy_index_vectors(starved) == (verify.INCONCLUSIVE, note)
+    assert verify.check_c3_barrier_family(starved) == (verify.INCONCLUSIVE, note)
