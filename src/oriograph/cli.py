@@ -13,14 +13,15 @@ report), 1 "refuted" (a proof that there is none, or a failed check)
 and 3 "inconclusive" (a search gave up on its node budget, or
 `analyze --stats extremal` found no partition by local search, a
 heuristic miss; when no part sizes fit the window, it refutes without a
-search).  The probes answer with their report's "outcome".  Exits 2 and
-4 come only from main's handlers: 2 for a usage or I/O error or a
-resource cap hit, 4 for any other exception, a fault of the program,
-whose traceback goes to stderr.  Inputs are checked where they are
-read, before any search, so a --parts file that does not cover exactly
-the host's vertices 0..n-1 exits 2 whatever the budget and the orders.
-`lattice --target` refutes only at --threshold 1, where the lattice is
-built from every copy vector.  Logs go to stderr.
+search).  The probes answer with their report's "outcome", and
+verify-paper with the worst answer of its checks (see tiling.worst).
+Exits 2 and 4 come only from main's handlers: 2 for a usage or I/O
+error or a resource cap hit, 4 for any other exception, a fault of the
+program, whose traceback goes to stderr.  Inputs are checked where they
+are read, before any search, so a --parts file that does not cover
+exactly the host's vertices 0..n-1 exits 2 whatever the budget and the
+orders.  `lattice --target` refutes only at --threshold 1, where the
+lattice is built from every copy vector.  Logs go to stderr.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .core import (
     write_partition,
 )
 from .errors import BudgetExceededError, ResourceLimitError
+from .tiling import answer, worst
 
 log = logging.getLogger("oriograph")
 
@@ -48,10 +50,6 @@ log = logging.getLogger("oriograph")
 # the exit code of each outcome: a copy or tiling found, a proof there is
 # none, or a budget that ran out; 2 and 4 come only from main's handlers
 EXIT = {"found": 0, "refuted": 1, "inconclusive": 3}
-
-
-def _answer(found):
-    return "found" if found else "refuted"
 
 
 def _table(rows, header):
@@ -125,10 +123,10 @@ def cmd_embed(args):
         hyper = tiling.copy_hypergraph(pattern, host, budget=args.budget)
         vecs = sorted(lattice.edge_vectors(hyper, partition).vectors)
         lines = [",".join(map(str, v)) for v in vecs]
-        return _answer(vecs), {"index_vectors": [list(v) for v in vecs]}, lines
+        return answer(vecs), {"index_vectors": [list(v) for v in vecs]}, lines
     if args.count:
         n = embed.count_embeddings(pattern, host, budget=args.budget)
-        return _answer(n), {"count": n}, [str(n)]
+        return answer(n), {"count": n}, [str(n)]
     emb = embed.find_embedding(pattern, host, budget=args.budget)
     if emb is None:
         return "refuted", {"found": False}, ["not found"]
@@ -240,7 +238,7 @@ def cmd_analyze(args):
             f"part sizes {list(verdict.sizes)}",
             f"reverse class counts {list(verdict.reverse_counts)}",
         ]
-        return _answer(verdict.ok), doc, lines
+        return answer(verdict.ok), doc, lines
     cls = host.classify()
     lo, hi = analysis.cyclic_edge_window(host)
     floor = analysis.d_copies_floor(host)
@@ -355,12 +353,13 @@ def cmd_verify_paper(args):
     lines = []
     for check in report["checks"]:
         status = check["status"]
-        if status == verify.INCONCLUSIVE:
-            status = "INCONCLUSIVE(budget)"
+        if status == verify.STATUS["inconclusive"]:
+            status += "(budget)"
         lines.append(f"{status:20s} {check['name']}")
     s = report["summary"]
     lines.append(f"{s['pass']} pass, {s['fail']} fail, {s['inconclusive']} inconclusive")
-    return _answer(s["fail"] == 0), report, lines
+    # the worst answer of any check: one that failed, else one that ran out
+    return worst(a for a, word in verify.STATUS.items() if s[word.lower()]), report, lines
 
 
 def _positive_int(text):

@@ -234,12 +234,11 @@ class Classification(Record):
 class Partition:
     """Ordered partition of a vertex set into d pairwise disjoint parts."""
 
-    __slots__ = ("parts", "masks", "ground_mask", "_label")
+    __slots__ = ("parts", "masks", "ground_mask")
 
     def __init__(self, parts):
         masks = []
         ground = 0
-        label = {}
         for i, part in enumerate(parts):
             mask = 0
             for v in part:
@@ -250,7 +249,6 @@ class Partition:
                 if ground >> v & 1:
                     raise PartError(i, f"vertex {v} appears in two parts")
                 mask |= 1 << v
-                label[v] = i
             masks.append(mask)
             ground |= mask
         if not masks:
@@ -258,24 +256,19 @@ class Partition:
         self.parts = tuple(frozenset(bits(mask)) for mask in masks)
         self.masks = tuple(masks)
         self.ground_mask = ground
-        self._label = label
 
     @property
     def d(self):
         return len(self.parts)
 
-    def part_of(self, v):
-        try:
-            return self._label[v]
-        except KeyError:
-            raise ValueError(f"vertex {v} is not covered by the partition") from None
-
     def index_vector(self, vertices):
         """i_P(U): per-part counts of the vertices of U."""
-        counts = [0] * self.d
-        for v in set(vertices):
-            counts[self.part_of(v)] += 1
-        return tuple(counts)
+        mask = 0
+        for v in vertices:
+            if v < 0 or not self.ground_mask >> v & 1:
+                raise ValueError(f"vertex {v} is not covered by the partition")
+            mask |= 1 << v
+        return tuple((mask & m).bit_count() for m in self.masks)
 
     def check_covers(self, n):
         """Raise ValueError unless the parts cover exactly the vertices 0..n-1."""

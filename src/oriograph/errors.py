@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The command line maps these onto its exit-code contract: usage and
-format problems exit 2, an exhausted node budget exits 3 (the search is
-inconclusive, not refuted).
+The handlers of cli.main map these onto the exit codes beside cli.EXIT:
+usage and format problems (the ValueError subclasses) and a
+ResourceLimitError exit 2, an exhausted node budget exits 3 (the search
+is inconclusive, not refuted), and any other exception exits 4.
 """
 
 

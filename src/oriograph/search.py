@@ -61,7 +61,7 @@ from .core import OrientedGraph, bits, serialize
 from .embed import find_embedding
 from .errors import BudgetExceededError
 from .generators import semi_regular_tournament
-from .tiling import FOUND, INCONCLUSIVE, OUTCOME, perfect_tiling
+from .tiling import FOUND, OUTCOME, answer, perfect_tiling, worst
 
 
 def canonical_form(graph):
@@ -327,7 +327,7 @@ def turanability_probe(pattern, sizes, mode="exhaustive", samples=100, seed=0, b
     """Evidence report: which hosts of POPULATIONS[mode] (regular_classes or
     walk_samples) at the given sizes contain the pattern.  Findings are finite
     evidence; nothing is claimed beyond the sizes listed.  A host that misses
-    the pattern refutes (see _outcome).  Turanability concerns regular
+    the pattern refutes (see tiling.worst).  Turanability concerns regular
     tournaments, so at least one size is needed and each must be odd: a
     sampled host on an even number of vertices is only semi-regular."""
     if mode not in POPULATIONS:
@@ -360,8 +360,8 @@ def turanability_probe(pattern, sizes, mode="exhaustive", samples=100, seed=0, b
         "seed": seed,
         "note": "finite evidence only, no claim beyond the sizes listed",
         "per_n": per_n,
-        "outcome": _outcome(
-            any(e["misses"] for e in per_n), any("inconclusive" in e for e in per_n)
+        "outcome": worst(
+            [answer(not e["misses"]) for e in per_n] + ["inconclusive" for e in per_n if "inconclusive" in e]
         ),
     }
 
@@ -369,7 +369,7 @@ def turanability_probe(pattern, sizes, mode="exhaustive", samples=100, seed=0, b
 def tileability_probe(pattern, sizes, samples=20, seed=0, budget=None):
     """Evidence report: which hosts of POPULATIONS["sample"] (see walk_samples)
     have a perfect tiling by the pattern.  Sizes the pattern order does not divide
-    are skipped, but one must be tested; a host with no tiling refutes (see _outcome)."""
+    are skipped, but one must be tested; a host with no tiling refutes (see tiling.worst)."""
     if pattern.n == 0:
         raise ValueError("pattern must have at least one vertex")
     if all(n % pattern.n for n in sizes):
@@ -388,19 +388,10 @@ def tileability_probe(pattern, sizes, samples=20, seed=0, budget=None):
             outcomes.append(outcome)
         tiled = sum(o["mode"] == FOUND for o in outcomes)
         per_n.append({"n": n, "samples": len(outcomes), "tiled": tiled, "outcomes": outcomes})
-    modes = {o["mode"] for e in per_n for o in e.get("outcomes", ())}
     return {
         "pattern": serialize(pattern),
         "seed": seed,
         "note": "finite evidence only, no claim beyond the sizes listed",
         "per_n": per_n,
-        "outcome": _outcome(any(OUTCOME[m] == "refuted" for m in modes), INCONCLUSIVE in modes),
+        "outcome": worst(OUTCOME[o["mode"]] for e in per_n for o in e.get("outcomes", ())),
     }
-
-
-def _outcome(refuted, gave_up):
-    """A probe's "outcome": "refuted" if some host refutes, else
-    "inconclusive" if some host's search ran out of budget, else "found"."""
-    if refuted:
-        return "refuted"
-    return "inconclusive" if gave_up else "found"

@@ -65,6 +65,17 @@ OUTCOME = {
     INCONCLUSIVE: "inconclusive",
 }
 
+
+def answer(ok):
+    return "found" if ok else "refuted"
+
+
+def worst(answers):
+    """The gravest answer: "refuted" if any refutes, else "inconclusive"
+    if any ran out of budget, else "found", also for no answers."""
+    return min(answers, key=("refuted", "inconclusive", "found").index, default="found")
+
+
 EDGE_CAP = 10_000_000
 PACK_CHUNK = 1024
 

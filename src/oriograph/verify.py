@@ -8,15 +8,18 @@ kernels with the brute-force oracles in the oracles module.  A check is
 the only definition of its claim: the acceptance tests call these same
 functions under the full profile, passing their own seeds.  The two
 evidence checks, S in regular tournaments and D-factors in sampled
-hosts, run the search module's probes and read their outcome.
+hosts, run the search module's probes and answer with their outcome.
+Every check answers "found", "refuted" or "inconclusive" (see
+tiling.worst), and the report prints each answer by its word in STATUS.
 
-Three profiles trade coverage for time.  "fast" caps every backtracking
-search at a small node budget and shrinks the sampled corpora, so a
-heavy refutation may come back INCONCLUSIVE instead of PASS; "full"
-runs everything unbudgeted at its stated size; "exhaustive" doubles the
-sampled corpora on top of that.  All randomness is seeded and no timing
-data enters the report, so the report for a given profile is byte-stable
-across runs.
+Three profiles trade coverage for time.  "fast" caps the backtracking
+searches at a small node budget and shrinks the sampled corpora, so a
+heavy refutation may come back inconclusive instead of found; the
+oracle-agreement check, whose hosts have at most 8 vertices, runs
+unbudgeted under every profile.  "full" runs everything unbudgeted at
+its stated size; "exhaustive" doubles the sampled corpora on top of
+that.  All randomness is seeded and no timing data enters the report,
+so the report for a given profile is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from math import factorial
 from . import analysis, embed, generators, lattice, oracles, search, tiling
 from .core import OrientedGraph, isomorphic_brute
 from .errors import BudgetExceededError
+from .tiling import answer, worst
 
-PASS = "PASS"
-FAIL = "FAIL"
-INCONCLUSIVE = "INCONCLUSIVE"
+# the report's word for each check's answer, and the only place it is spelled
+STATUS = {"found": "PASS", "refuted": "FAIL", "inconclusive": "INCONCLUSIVE"}
 
 # The 12000 node budget is calibrated: the costliest search the fast
 # profile must finish, the exhaustive refutation of a D_3-factor of
@@ -88,19 +91,6 @@ MOD6_GENERATORS = (
 )
 # (labeled regular tournaments, isomorphism classes) on n vertices
 REGULAR_COUNTS = {3: (2, 1), 5: (24, 1), 7: (2640, 3)}
-# the check status of a probe's outcome (see search._outcome)
-PROBE_STATUS = {"found": PASS, "inconclusive": INCONCLUSIVE, "refuted": FAIL}
-
-
-def _status(ok):
-    return PASS if ok else FAIL
-
-
-def _worst(statuses):
-    statuses = set(statuses)
-    if FAIL in statuses:
-        return FAIL
-    return INCONCLUSIVE if INCONCLUSIVE in statuses else PASS
 
 
 def check_c6_power_2_avoids_rotational_7(p):
@@ -109,7 +99,7 @@ def check_c6_power_2_avoids_rotational_7(p):
     found = embed.find_embedding(pattern, host, budget=p["budget"])
     count = embed.count_embeddings(pattern, host, budget=p["budget"])
     detail = {"embedding_found": found is not None, "embeddings": count}
-    return (_status(found is None and count == 0), detail)
+    return (answer(found is None and count == 0), detail)
 
 def check_blowup_semidegree_and_freeness(p):
     pattern = generators.cycle_power(6, 2)
@@ -124,7 +114,7 @@ def check_blowup_semidegree_and_freeness(p):
             "n": host.n, "min_semi_degree": d0, "embedding_found": found is not None
         }
         ok = ok and host.n == 7 * t and d0 == 3 * t and found is None
-    return (_status(ok), detail)
+    return (answer(ok), detail)
 
 def check_s_avoids_triangle_blowups(p):
     s_graph = generators.graph_s()
@@ -135,7 +125,7 @@ def check_s_avoids_triangle_blowups(p):
         found = embed.find_embedding(s_graph, host, budget=p["budget"])
         detail[f"s={s}"] = found is not None
         ok = ok and found is None
-    return (_status(ok), detail)
+    return (answer(ok), detail)
 
 def check_containment_chain(p):
     s_graph = generators.graph_s()
@@ -152,7 +142,7 @@ def check_containment_chain(p):
         good = emb is not None and emb.verify()
         detail[label] = {"found": emb is not None, "edge_by_edge": good}
         ok = ok and good
-    return (_status(ok), detail)
+    return (answer(ok), detail)
 
 def check_mod6_lattice(p):
     lat = lattice.residue_lattice(MOD6_GENERATORS, 6, 3)
@@ -164,7 +154,7 @@ def check_mod6_lattice(p):
         "includes_330": (3, 3, 0) in lat,
     }
     ok = all(detail[k] for k in ("brute_force_agrees", "excludes_123", "includes_330"))
-    return (_status(ok), detail)
+    return (answer(ok), detail)
 
 def check_tsk_semi_regular(p):
     detail = {}
@@ -185,14 +175,14 @@ def check_tsk_semi_regular(p):
             "out_degrees": sorted(degs),
         }
         ok = ok and good
-    return (_status(ok), detail)
+    return (answer(ok), detail)
 
 def tsk_refutations(p, lattice_only):
     """Refute a D_s-factor of t_sk(s, k) for (s, k) in (2,0), (2,1), (3,1),
     by exhaustive cover search or, with lattice_only, by a residue lattice
     on the planted partition (the quotient bound's, or else the copies' in
     the lattice pre-check); a lattice that fails to refute lets the cover
-    search run and reads FAIL.  Returns (status, modes)."""
+    search run and refutes.  Returns (answer, modes)."""
     wanted = tiling.REFUTED_LATTICE if lattice_only else tiling.REFUTED_EXHAUSTIVE
     modes = {}
     for s, k in ((2, 0), (2, 1), (3, 1)):
@@ -205,20 +195,18 @@ def tsk_refutations(p, lattice_only):
             budget=p["budget"],
         )
         modes[f"s={s},k={k}"] = result.mode
-    return (_worst(_refutation_status(m, wanted) for m in modes.values()), modes)
+    return (worst(_refutation_status(m, wanted) for m in modes.values()), modes)
 
 def check_tsk_tiling_refuted(p):
-    search_status, searched = tsk_refutations(p, lattice_only=False)
-    lattice_status, latticed = tsk_refutations(p, lattice_only=True)
+    search_answer, searched = tsk_refutations(p, lattice_only=False)
+    lattice_answer, latticed = tsk_refutations(p, lattice_only=True)
     detail = {key: {"search": searched[key], "lattice": latticed[key]} for key in searched}
-    return (_worst((search_status, lattice_status)), detail)
+    return (worst((search_answer, lattice_answer)), detail)
 
 def _refutation_status(mode, wanted):
     if mode == wanted:
-        return PASS
-    if mode == tiling.INCONCLUSIVE:
-        return INCONCLUSIVE
-    return FAIL
+        return "found"
+    return "inconclusive" if mode == tiling.INCONCLUSIVE else "refuted"
 
 def check_copy_index_vectors(p):
     cases = [(2, "six", TEN_VECTORS)]
@@ -232,18 +220,18 @@ def check_copy_index_vectors(p):
         try:
             hyper = tiling.copy_hypergraph(pattern, w.graph, budget=p["budget"])
         except BudgetExceededError:
-            return (INCONCLUSIVE, {"note": "budget exhausted during copy enumeration"})
+            return ("inconclusive", {"note": "budget exhausted during copy enumeration"})
         vecs = lattice.edge_vectors(hyper, w.partition).vectors
         detail[f"{name}_vertex_vectors"] = sorted(map(list, vecs))
         detail[f"{name}_vertex_within_pattern"] = vecs <= allowed
         ok = ok and bool(vecs) and vecs <= allowed
-    return (_status(ok), detail)
+    return (answer(ok), detail)
 
 def check_c3_barrier_family(p):
     triangle = generators.f_r(1)
     allowed = {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)}
     detail = {}
-    statuses = []
+    answers = []
     for n in (2, 3, 4):
         host, part = generators.c3_barrier(n)
         d0 = host.min_semi_degree()
@@ -251,7 +239,7 @@ def check_c3_barrier_family(p):
         try:
             hyper = tiling.copy_hypergraph(triangle, host, budget=p["budget"])
         except BudgetExceededError:
-            return (INCONCLUSIVE, {"note": "budget exhausted during copy enumeration"})
+            return ("inconclusive", {"note": "budget exhausted during copy enumeration"})
         report = lattice.edge_vectors(hyper, part, threshold=1)
         transferrals = lattice.find_2_transferrals(report)
         entry = {
@@ -261,11 +249,11 @@ def check_c3_barrier_family(p):
             "two_transferrals": len(transferrals),
         }
         detail[f"n={n}"] = entry
-        statuses += (
+        answers += (
             _refutation_status(result.mode, tiling.REFUTED_EXHAUSTIVE),
-            _status(d0 == (3 * n - 3) // 2 and entry["vectors_within_pattern"] and not transferrals),
+            answer(d0 == (3 * n - 3) // 2 and entry["vectors_within_pattern"] and not transferrals),
         )
-    return (_worst(statuses), detail)
+    return (worst(answers), detail)
 
 def check_degree_statistic_windows(p, seed="verify"):
     sizes = list(range(11, 32))
@@ -285,7 +273,7 @@ def check_degree_statistic_windows(p, seed="verify"):
             if counts[v] < floor:
                 violations += 1
     detail = {"graphs": graphs, "violations": violations}
-    return (_status(violations == 0), detail)
+    return (answer(violations == 0), detail)
 
 def _embedding_mismatch(pattern, host):
     expected = oracles.embeddings(pattern, host)
@@ -342,7 +330,7 @@ def check_oracle_agreement(p, seed="oracle-agreement"):
         "tiling_mismatches": tiling_mismatches,
         "class_counts": counts,
     }
-    return (_status(mismatches == 0 and tiling_mismatches == 0 and enum_ok), detail)
+    return (answer(mismatches == 0 and tiling_mismatches == 0 and enum_ok), detail)
 
 def check_s_in_small_tournaments(p, seed="probe"):
     s_graph = generators.graph_s()
@@ -365,7 +353,7 @@ def check_s_in_small_tournaments(p, seed="probe"):
     ]
     if findings:
         detail["findings"] = findings
-    return (_worst(PROBE_STATUS[r["outcome"]] for r in (exhaustive, sampled)), detail)
+    return (worst(r["outcome"] for r in (exhaustive, sampled)), detail)
 
 def check_d_tiling_in_samples(p, seed="tile"):
     pattern, _ = generators.d_abc(1, 1, 2)
@@ -373,7 +361,7 @@ def check_d_tiling_in_samples(p, seed="tile"):
         pattern, (8, 12, 16), samples=p["tiling_evidence_samples"], seed=seed, budget=p["budget"]
     )
     detail = {f"n={e['n']}": {"tiled": e["tiled"], "samples": e["samples"]} for e in report["per_n"]}
-    return (PROBE_STATUS[report["outcome"]], detail)
+    return (report["outcome"], detail)
 
 CHECKS = (
     ("c6-power-2-avoids-rotational-7", check_c6_power_2_avoids_rotational_7),
@@ -400,20 +388,17 @@ def run_checks(profile="full", on_timing=None):
         raise ValueError(f"unknown profile {profile!r}")
     params = PROFILES[profile]
     results = []
-    tally = {PASS: 0, FAIL: 0, INCONCLUSIVE: 0}
+    answers = []
     for name, fn in CHECKS:
         started = time.perf_counter()
-        status, detail = fn(params)
+        verdict, detail = fn(params)
         if on_timing is not None:
             on_timing(name, time.perf_counter() - started)
-        tally[status] += 1
-        results.append({"name": name, "status": status, "detail": detail})
+        answers.append(verdict)
+        results.append({"name": name, "status": STATUS[verdict], "detail": detail})
     return {
         "profile": profile,
         "checks": results,
-        "summary": {
-            "pass": tally[PASS],
-            "fail": tally[FAIL],
-            "inconclusive": tally[INCONCLUSIVE],
-        },
+        # keyed "pass", "fail" and "inconclusive"
+        "summary": {STATUS[a].lower(): answers.count(a) for a in STATUS},
     }

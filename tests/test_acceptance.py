@@ -1,8 +1,8 @@
 """Acceptance gate: one test per numbered criterion, run `pytest -v` for the
 one-line-per-criterion report.  Each criterion runs the check of the same
 claim in `oriograph.verify` under the full profile, with the criterion's
-own seeds where the check samples, asserts PASS and then asserts its
-wall-clock budget."""
+own seeds where the check samples, asserts that it answers "found" (a
+PASS in the report) and then asserts its wall-clock budget."""
 
 import subprocess
 import sys
@@ -24,7 +24,7 @@ def finish(num, started, budget):
 def criterion(num, budget, check, **kwargs):
     started = time.perf_counter()
     status, detail = check(FULL, **kwargs)
-    assert status == verify.PASS, detail
+    assert status == "found", detail
     finish(num, started, budget)
 
 

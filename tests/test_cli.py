@@ -4,11 +4,12 @@ import ast
 import hashlib
 import json
 import sys
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
 
-from oriograph import cli, generators, oracles, search, tiling, verify
+from oriograph import cli, generators, oracles, tiling, verify
 from oriograph.core import parse, read_graph, read_partition, write_graph
 from oriograph.search import random_semi_regular
 
@@ -103,6 +104,13 @@ def test_embed_count_and_vectors(paths, capsys):
     )
     assert code == 0
     assert doc["index_vectors"] == [[2, 2, 2]]
+    # one copy, with its index vector under --parts
+    parts = paths["tsk21"].replace(".dg", ".parts")
+    argv = ["embed", "--pattern", paths["d2"], "--host", paths["tsk21"]]
+    code, doc = run_json(capsys, *argv, "--parts", parts)
+    assert (code, doc["found"], doc["index_vector"]) == (0, True, [2, 2, 2])
+    # index vectors need a partition to count by
+    assert run(capsys, *argv, "--vectors") == (2, "")
 
 
 def test_embed_budget_exhaustion(paths, capsys):
@@ -452,7 +460,7 @@ def test_verify_paper_fast(capsys):
 
 
 def test_verify_paper_timings(monkeypatch, capsys):
-    checks = (("first", lambda p: ("PASS", {})), ("second", lambda p: ("PASS", {})))
+    checks = (("first", lambda p: ("found", {})), ("second", lambda p: ("found", {})))
     monkeypatch.setattr(cli.verify, "CHECKS", checks)
     outputs = []
     for flags in ((), ("--timings",), ("--json",), ("--json", "--timings")):
@@ -465,6 +473,32 @@ def test_verify_paper_timings(monkeypatch, capsys):
         lines = [line.split() for line in captured.err.splitlines()]
         assert [name for name, _ in lines] == ["first", "second"]
         assert all(float(seconds) >= 0 for _, seconds in lines)
+
+
+@pytest.mark.parametrize(
+    "answers, expected",
+    [
+        (("found", "inconclusive", "found"), 3),
+        (("inconclusive", "refuted"), 1),
+        (("refuted", "inconclusive"), 1),
+        (("found", "found"), 0),
+    ],
+)
+def test_verify_paper_exits_by_its_worst_check(monkeypatch, capsys, answers, expected):
+    checks = tuple((f"check-{i}", lambda p, a=a: (a, {})) for i, a in enumerate(answers))
+    monkeypatch.setattr(cli.verify, "CHECKS", checks)
+    code, out = run(capsys, "verify-paper", "--profile", "fast")
+    assert code == expected
+    words = {"found": "PASS", "refuted": "FAIL", "inconclusive": "INCONCLUSIVE(budget)"}
+    tally = [answers.count(a) for a in ("found", "refuted", "inconclusive")]
+    assert out.splitlines() == [
+        *(f"{words[a]:20s} check-{i}" for i, a in enumerate(answers)),
+        "{} pass, {} fail, {} inconclusive".format(*tally),
+    ]
+    code, doc = run_json(capsys, "verify-paper", "--profile", "fast")
+    assert code == expected
+    assert [c["status"] for c in doc["checks"]] == [verify.STATUS[a] for a in answers]
+    assert doc["summary"] == dict(zip(("pass", "fail", "inconclusive"), tally))
 
 
 def test_internal_errors_exit_4(monkeypatch, paths, caplog):
@@ -498,11 +532,51 @@ def test_every_answer_is_an_outcome_of_the_table():
         tiling.INCONCLUSIVE,
     }
     assert set(tiling.OUTCOME) == modes
-    assert set(tiling.OUTCOME.values()) == set(cli.EXIT)
-    flags = (False, True)
-    assert {search._outcome(r, g) for r in flags for g in flags} == set(cli.EXIT)
-    assert set(verify.PROBE_STATUS) == set(cli.EXIT)
+    assert set(verify.STATUS) == set(cli.EXIT) == set(tiling.OUTCOME.values())
     assert cli.EXIT == {"found": 0, "refuted": 1, "inconclusive": 3}
+    assert (tiling.answer(True), tiling.answer(False)) == ("found", "refuted")
+    # the worst answer: a refutation outranks a budget that ran out, which
+    # outranks a find, whatever the order; no answer at all is found
+    for size in range(len(cli.EXIT) + 1):
+        for subset in combinations(cli.EXIT, size):
+            if "refuted" in subset:
+                expected = "refuted"
+            else:
+                expected = "inconclusive" if "inconclusive" in subset else "found"
+            for order in permutations(subset):
+                assert tiling.worst(order) == expected, order
+                assert tiling.worst(iter(order + order)) == expected, order
+
+
+def test_verify_spells_its_status_words_only_in_the_table():
+    # the checks compute with answers; PASS, FAIL and INCONCLUSIVE are only
+    # the words the report prints for them
+    words = set(verify.STATUS.values())
+    tree = ast.parse(Path(verify.__file__).read_text())
+    [table] = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "STATUS"
+    ]
+    spelled = {id(value) for value in table.values}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in words:
+            assert id(node) in spelled, node.lineno
+        assert not (isinstance(node, ast.Name) and node.id in words), node.lineno
+    checks = [
+        fn
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and (fn.name.startswith("check_") or fn.name == "tsk_refutations")
+    ]
+    assert {fn.name for fn in checks} >= {fn.__name__ for _, fn in verify.CHECKS}
+    for fn in checks:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Return):
+                value = node.value
+                assert isinstance(value, ast.Tuple) and len(value.elts) == 2, (fn.name, node.lineno)
+                verdict = value.elts[0]
+                if isinstance(verdict, ast.Constant):
+                    assert verdict.value in cli.EXIT, (fn.name, node.lineno)
 
 
 def test_exit_codes_0_1_3_come_only_from_the_table():
@@ -604,6 +678,9 @@ def test_usage_errors(tmp_path, capsys):
         # target outside it refutes nothing
         (["--threshold", "2", "--target", "1,2,3"], 0),
         (["--mod", "101", "--target", "1,2,0"], 1),
+        # a target needs one entry per part
+        (["--target", "1,2"], 2),
+        (["--target", "1,2,3,4"], 2),
     ],
 )
 def test_lattice_exit_codes(paths, capsys, caplog, extra, expected):

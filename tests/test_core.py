@@ -99,13 +99,13 @@ def test_induced_relabels_in_order():
 def test_partition_basics():
     p = Partition([[0, 1], [2], [3, 4]])
     assert p.d == 3
-    assert p.part_of(2) == 1
+    assert p.index_vector([2]) == (0, 1, 0)
     assert p.index_vector([0, 2, 3, 4]) == (1, 1, 2)
     p.check_covers(5)
     with pytest.raises(ValueError):
         p.check_covers(6)
     with pytest.raises(ValueError):
-        p.part_of(9)
+        p.index_vector([9])
     assert Partition([[MAX_VERTICES - 1]]).masks == (1 << MAX_VERTICES - 1,)
     # a refusal names the refused part by its position
     for parts, index in (
@@ -120,6 +120,16 @@ def test_partition_basics():
         assert err.value.index == index
     with pytest.raises(ValueError):
         Partition([])
+
+
+def test_index_vector_refuses_uncovered_vertices():
+    # vertex 2 is a gap inside the partition's range
+    p = Partition([[0, 1], [3, 4]])
+    assert p.index_vector([4, 0, 4]) == (1, 1)  # a set: repeats count once
+    assert p.index_vector([]) == (0, 0)
+    for v in (2, 5, MAX_VERTICES, -1, -5):
+        with pytest.raises(ValueError, match=f"^vertex {v} is not covered by the partition$"):
+            p.index_vector([0, v])
 
 
 def test_embedding_verify():

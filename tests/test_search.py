@@ -11,7 +11,7 @@ import pytest
 from oriograph.core import OrientedGraph, isomorphic_brute, serialize
 from oriograph.embed import count_embeddings, find_embedding
 from oriograph.generators import cycle_power, d_abc, f_r, graph_s, rotational, semi_regular_tournament
-from oriograph import analysis, generators, oracles, search, verify
+from oriograph import analysis, generators, oracles, search, tiling, verify
 from oriograph.oracles import random_oriented, random_tournament
 from oriograph.search import (
     _canonical_perm_and_form,
@@ -477,7 +477,7 @@ def test_verify_s_check_reports_a_miss(monkeypatch):
     # the rotational class on 7: each miss is a finding, and the check fails
     monkeypatch.setattr(generators, "graph_s", lambda: cycle_power(6, 2))
     status, detail = verify.check_s_in_small_tournaments(SMALL)
-    assert status == verify.FAIL
+    assert status == "refuted"
     assert detail["exhaustive n=7"] == {"containing": 2, "classes": 3}
     assert detail["findings"] == [{"n": 5, "tag": "class-0"}, {"n": 7, "tag": "class-2"}]
 
@@ -486,11 +486,11 @@ def test_verify_evidence_checks_are_inconclusive_out_of_budget():
     # a search that runs out of budget proves nothing either way
     starved = dict(SMALL, budget=1)
     status, detail = verify.check_s_in_small_tournaments(starved)
-    assert status == verify.INCONCLUSIVE
+    assert status == "inconclusive"
     assert "findings" not in detail
     assert detail["exhaustive n=5"] == {"containing": 0, "classes": 1}
     status, detail = verify.check_d_tiling_in_samples(starved)
-    assert status == verify.INCONCLUSIVE
+    assert status == "inconclusive"
     assert detail["n=8"] == {"tiled": 0, "samples": 2}
 
 
@@ -499,5 +499,19 @@ def test_verify_copy_checks_are_inconclusive_out_of_budget():
     # c3-barrier check's included
     starved = dict(SMALL, budget=1)
     note = {"note": "budget exhausted during copy enumeration"}
-    assert verify.check_copy_index_vectors(starved) == (verify.INCONCLUSIVE, note)
-    assert verify.check_c3_barrier_family(starved) == (verify.INCONCLUSIVE, note)
+    assert verify.check_copy_index_vectors(starved) == ("inconclusive", note)
+    assert verify.check_c3_barrier_family(starved) == ("inconclusive", note)
+
+
+def test_tsk_refutations_read_each_mode_as_an_answer(monkeypatch):
+    # a search cut off by its budget settles nothing
+    verdict, modes = verify.tsk_refutations(dict(SMALL, budget=1), lattice_only=False)
+    assert verdict == "inconclusive"
+    assert set(modes.values()) == {"inconclusive"}
+    # a refutation other than the one asked for refutes the check's claim
+    exhaustive = tiling.TilingResult(tiling.REFUTED_EXHAUSTIVE)
+    monkeypatch.setattr(verify.tiling, "perfect_tiling", lambda *args, **kwargs: exhaustive)
+    assert verify.tsk_refutations(SMALL, lattice_only=False)[0] == "found"
+    verdict, modes = verify.tsk_refutations(SMALL, lattice_only=True)
+    assert verdict == "refuted"
+    assert set(modes.values()) == {"refuted-exhaustive"}
