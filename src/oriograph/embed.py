@@ -57,7 +57,8 @@ def variable_order(pattern):
 def _plan(pattern, host):
     """The walk's set-up: the variable order, per slot the (earlier slot,
     True if the pattern edge runs earlier -> current) constraints, and per
-    slot the host vertices whose out- and in-degrees are large enough."""
+    slot the host vertices whose out- and in-degrees are large enough.
+    The host must have a vertex."""
     order = variable_order(pattern)
     pos = {v: i for i, v in enumerate(order)}
     constraints = []
@@ -70,12 +71,17 @@ def _plan(pattern, host):
             elif outs >> u & 1:
                 cons.append((pos[u], False))
         constraints.append(cons)
-    host_degrees = [(o.bit_count(), i.bit_count()) for o, i in zip(host.out_rows, host.in_rows)]
+    host_outs = list(map(int.bit_count, host.out_rows))
+    host_ins = list(map(int.bit_count, host.in_rows))
+    least_out, least_in = min(host_outs), min(host_ins)
     degree_ok = []
     for v in order:
         po, pi = pattern.degrees(v)
+        if po <= least_out and pi <= least_in:
+            degree_ok.append((1 << host.n) - 1)  # every host vertex passes
+            continue
         mask = 0
-        for w, (ho, hi) in enumerate(host_degrees):
+        for w, (ho, hi) in enumerate(zip(host_outs, host_ins)):
             if ho >= po and hi >= pi:
                 mask |= 1 << w
         degree_ok.append(mask)

@@ -26,10 +26,13 @@ sigma(T) gives sigma applied to the result of reversing T, an isomorphic
 graph, so the rest of T's orbit adds no class (the orbit pruning of
 McKay's orderly generation).  Aut comes from the canonical search that
 found the class, and the representative is relabelled by the minimizer
-that search returned, so each call runs 1 + (sum over classes of the
-Aut-orbits on its cyclic triangles) canonical searches: 2, 11 and 281 at
-n = 5, 7 and 9.  The canonical representatives are returned in sorted
-order of their forms.
+that search returned.  The closure stops the moment the classes found
+hold every labelled regular tournament, that is when the sum of n!/|Aut|
+over them reaches LABELED_REGULAR[n] (orbit-stabiliser, McKay 1998),
+which also certifies the list complete.  So a call runs one canonical
+search for the start and one per triangle reversed before that moment:
+1, 5, 89 and 16,373 at n = 5, 7, 9 and 11.  The canonical
+representatives are returned in sorted order of their forms.
 
 Random semi-regular tournaments come from the 3-cycle reversal walk of
 Brualdi and Li (analysed by Kannan, Tetali and Vempala): starting from the
@@ -137,6 +140,45 @@ def _canonical_perm_and_form(graph):
     return [perm for perm, _ in level], (n, value), kept
 
 
+# labelled regular tournaments on n vertices (OEIS A007079), for every n
+# that enumerate_regular_tournaments accepts; oracles.labeled_regular_dp
+# recounts them
+LABELED_REGULAR = {1: 1, 3: 2, 5: 24, 7: 2640, 9: 3230080, 11: 48251508480}
+
+
+def _orbit_reversals(g, perms):
+    """g with one cyclic triangle reversed, once per Aut-orbit of its cyclic
+    triangles.  perms are g's minimizers, and Aut(g) is {sigma :
+    sigma(perms[0][k]) = p[k]} over them.  Triangles are taken as
+    u -> v -> w -> u with u their least vertex, in order, skipping those
+    in the orbit of a triangle already reversed."""
+    n = g.n
+    first = perms[0]
+    automorphisms = []  # all but the identity
+    for p in perms[1:]:
+        sigma = [0] * n
+        for a, b in zip(first, p):
+            sigma[a] = b
+        automorphisms.append(sigma)
+    done = set()  # triangles, as vertex masks, in the orbit of one reversed
+    out, into = g.out_rows, g.in_rows
+    for u in range(n):
+        above = -2 << u  # the vertices above u
+        for v in bits(out[u] & above):
+            for w in bits(out[v] & into[u] & above):
+                if automorphisms:
+                    if (1 << u | 1 << v | 1 << w) in done:
+                        continue
+                    done.update(
+                        1 << sigma[u] | 1 << sigma[v] | 1 << sigma[w] for sigma in automorphisms
+                    )
+                rows = list(out)
+                rows[u] ^= 1 << v | 1 << w
+                rows[v] ^= 1 << w | 1 << u
+                rows[w] ^= 1 << u | 1 << v
+                yield OrientedGraph.from_out_rows(n, rows)
+
+
 def enumerate_regular_tournaments(n):
     """All regular tournaments on n vertices up to isomorphism, as canonical
     representatives in sorted order of their canonical forms.  n must be
@@ -146,13 +188,19 @@ def enumerate_regular_tournaments(n):
     with the same score vector are joined by a sequence of such reversals
     (Brualdi and Li 1984).  So the classes reachable from the regular
     semi_regular_tournament(n), reversing the cyclic triangles of each
-    class found, are all of them.  A class's triangles are taken as
-    u -> v -> w -> u with u its least vertex, in order, skipping those in
-    the Aut-orbit of a triangle already reversed: Aut(g) is
-    {sigma : sigma(p0[k]) = p[k]} over the minimizers p0, p, ... that the
-    canonical search returned when g was found.  Each class keeps the
-    minimizer p0 it was found with, and its representative is g
-    relabelled by p0."""
+    class found (one per Aut-orbit, see _orbit_reversals), are all of
+    them.  Each class keeps the first graph g that reached it and the
+    minimizer p0 its canonical search returned; its representative is g
+    relabelled by p0.
+
+    The list is certified complete by orbit-stabiliser (McKay 1998): the
+    class of g holds n!/|Aut(g)| labelled tournaments, |Aut(g)| is the
+    number of minimizers, and over all classes these sum to
+    LABELED_REGULAR[n].  Distinct forms are distinct classes and every
+    term is positive, so the closure stops the moment the terms of the
+    classes found reach that sum, mid-class if need be.  A frontier that
+    empties short of it is a fault of the program and raises
+    AssertionError; no uncertified list is returned."""
     if n < 1 or n % 2 == 0:
         raise ValueError("regular tournaments need odd n")
     if n > 11:
@@ -160,37 +208,19 @@ def enumerate_regular_tournaments(n):
     start = semi_regular_tournament(n)
     perms, form, _ = _canonical_perm_and_form(start)
     classes = {form: (start, perms[0])}  # canonical form -> first graph reached, its minimizer
+    missing = LABELED_REGULAR[n] - math.factorial(n) // len(perms)
     frontier = [(start, perms)]
-    while frontier:
-        g, perms = frontier.pop()
-        first = perms[0]
-        automorphisms = []  # all but the identity
-        for p in perms[1:]:
-            sigma = [0] * n
-            for a, b in zip(first, p):
-                sigma[a] = b
-            automorphisms.append(sigma)
-        done = set()  # triangles, as vertex masks, in the orbit of one reversed
-        out, into = g.out_rows, g.in_rows
-        for u in range(n):
-            above = -2 << u  # the vertices above u
-            for v in bits(out[u] & above):
-                for w in bits(out[v] & into[u] & above):
-                    if automorphisms:
-                        if (1 << u | 1 << v | 1 << w) in done:
-                            continue
-                        done.update(
-                            1 << sigma[u] | 1 << sigma[v] | 1 << sigma[w] for sigma in automorphisms
-                        )
-                    rows = list(out)
-                    rows[u] ^= 1 << v | 1 << w
-                    rows[v] ^= 1 << w | 1 << u
-                    rows[w] ^= 1 << u | 1 << v
-                    h = OrientedGraph.from_out_rows(n, rows)
-                    found, form, _ = _canonical_perm_and_form(h)
-                    if form not in classes:
-                        classes[form] = (h, found[0])
-                        frontier.append((h, found))
+    while missing:
+        if not frontier:
+            raise AssertionError(f"closure on {n} vertices ended {missing} labelled tournaments short")
+        for h in _orbit_reversals(*frontier.pop()):
+            found, form, _ = _canonical_perm_and_form(h)
+            if form not in classes:
+                classes[form] = (h, found[0])
+                missing -= math.factorial(n) // len(found)
+                if not missing:
+                    break
+                frontier.append((h, found))
     return [_relabelled(*classes[form]) for form in sorted(classes)]
 
 

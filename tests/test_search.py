@@ -11,7 +11,7 @@ import pytest
 from oriograph.core import OrientedGraph, isomorphic_brute, serialize
 from oriograph.embed import count_embeddings, find_embedding
 from oriograph.generators import cycle_power, d_abc, f_r, graph_s, rotational, semi_regular_tournament
-from oriograph import analysis, generators, oracles, search, tiling, verify
+from oriograph import analysis, cli, generators, oracles, search, tiling, verify
 from oriograph.oracles import random_oriented, random_tournament
 from oriograph.search import (
     _canonical_perm_and_form,
@@ -115,8 +115,10 @@ def test_minimizers_are_the_automorphism_coset():
 
 def test_closure_work_count(monkeypatch):
     # one canonical search for the start, then one per Aut-orbit of cyclic
-    # triangles in each class; reversing every triangle, then searching
-    # again for each representative, took 7, 46 and 466
+    # triangles in each class until the orbit-stabiliser count is complete;
+    # reversing every triangle, then searching again for each
+    # representative, took 7, 46 and 466, and one search per orbit of every
+    # class, without the stop, 2, 11 and 281
     inner = search._canonical_perm_and_form
     calls = []
 
@@ -127,7 +129,7 @@ def test_closure_work_count(monkeypatch):
     monkeypatch.setattr(search, "_canonical_perm_and_form", counted)
     for n in (5, 7, 9):
         enumerate_regular_tournaments(n)
-    assert [calls.count(n) for n in (5, 7, 9)] == [2, 11, 281]
+    assert [calls.count(n) for n in (5, 7, 9)] == [1, 5, 89]
 
 
 def canonical_digest(graphs):
@@ -203,10 +205,22 @@ def test_labeled_enumeration_oracle():
     assert oracles.labeled_regular_dp(11) == 48_251_508_480
     with pytest.raises(ValueError):
         oracles.labeled_regular_dp(4)
+    # the closure's stop rule reads the same counts
+    assert search.LABELED_REGULAR == {n: oracles.labeled_regular_dp(n) for n in (1, 3, 5, 7, 9, 11)}
     # at 9 vertices 9! relabellings a class are too many for the Aut
     # oracle, so |Aut| is the number of self-embeddings
     reps = enumerate_regular_tournaments(9)
     assert sum(factorial(9) // count_embeddings(g, g) for g in reps) == oracles.labeled_regular_dp(9)
+
+
+def test_closure_short_of_the_labeled_count_fails(monkeypatch, capsys):
+    # a count the classes cannot reach empties the frontier: a fault of the
+    # program (exit 4), never an uncertified list
+    monkeypatch.setitem(search.LABELED_REGULAR, 7, 2641)
+    with pytest.raises(AssertionError):
+        enumerate_regular_tournaments(7)
+    assert cli.main(["search", "enumerate-rt", "--n", "7"]) == 4
+    assert capsys.readouterr().out == ""
 
 
 def test_enumeration_is_deterministic():
