@@ -32,7 +32,11 @@ lies in U, the copy vectors generate a subgroup of <U> mod m, and a host
 vector outside <U> is outside that subgroup too: the bound refutes only
 what the copy vectors refute.  The maps are searched by backtracking
 over the pattern vertices in embed's variable order, one node per
-placement, and a search past MAP_CAP nodes bounds nothing.  If every
+placement, and a search past MAP_CAP nodes bounds nothing.  The search
+reads a per-slot plan built once: for each pattern vertex, its
+neighbours in earlier slots with the direction of their edge and the
+two pattern rows that hold the pair's other edges, so a placement tests
+only those neighbours and reads nothing else of the pattern.  If every
 pair is "other", or the pattern has no edge, U holds every composition
 of m, whose span holds the host's vector (its sum is divisible by m), so
 the search is skipped.
@@ -52,7 +56,7 @@ from __future__ import annotations
 from collections import Counter
 from math import prod
 
-from .core import Record, bits
+from .core import Record
 from .embed import variable_order
 from .errors import BudgetExceededError
 
@@ -232,25 +236,20 @@ def quotient_bound(pattern, host, partition, budget=None):
         # every composition of |V(F)| is in U, which then refutes nothing
         return QuotientBound(vectors=None, verdict=None, nodes=0)
     outs, ins, order = pattern.out_rows, pattern.in_rows, variable_order(pattern)
+    # per slot, its placed neighbours w as (w, True if the pattern edge runs
+    # v -> w, the row at v and the row at w that hold the pair's other edges);
+    # lists, as tuple() of a generator over-allocates and then shrinks,
+    # which strands blocks in CPython's tuple free lists call after call
+    plan = [
+        [
+            (w, True, outs[v], ins[w]) if outs[v] >> w & 1 else (w, False, ins[v], outs[w])
+            for w in order[:slot]
+            if (outs[v] | ins[v]) >> w & 1
+        ]
+        for slot, v in enumerate(order)
+    ]
     members = [0] * d  # the pattern vertices placed in each part
     phi = [0] * pattern.n  # the part of each placed pattern vertex
-    before = [0]  # before[s]: the pattern vertices of the slots before slot s
-    for v in order:
-        before.append(before[-1] | 1 << v)
-
-    def fits(v, i, placed):
-        for w in bits((outs[v] | ins[v]) & placed):
-            j = phi[w]
-            # the placed pattern edges of this pair at v (w among them) and at w
-            if outs[v] >> w & 1:
-                k, at_v, at_w = kind[i][j], outs[v] & members[j], ins[w] & members[i]
-            else:
-                k, at_v, at_w = kind[j][i], ins[v] & members[j], outs[w] & members[i]
-            # a matching pair takes one pattern edge at each tail and each head
-            if k is None or k and (at_v & (at_v - 1) or at_w):
-                return False
-        return True
-
     vectors = set()
     nodes = 0
     stack = [iter(range(d))]  # per slot, the parts not yet tried there
@@ -264,7 +263,18 @@ def quotient_bound(pattern, host, partition, budget=None):
                 raise BudgetExceededError(budget)
             if nodes > MAP_CAP:
                 return QuotientBound(vectors=None, verdict=None, nodes=nodes)
-            if fits(v, i, before[slot]):
+            for w, forward, row_v, row_w in plan[slot]:
+                j = phi[w]
+                k = kind[i][j] if forward else kind[j][i]
+                if k is None:
+                    break
+                # a matching pair takes one pattern edge at each tail and
+                # each head: at v only the edge with w, at w no other
+                if k:
+                    at_v = row_v & members[j]
+                    if at_v & (at_v - 1) or row_w & members[i]:
+                        break
+            else:
                 break
         else:
             stack.pop()

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from oriograph.core import OrientedGraph, Partition, read_graph
 from oriograph.analysis import (
+    _move_costs,
     cyclic_edge_stat,
     cyclic_edge_window,
     d_copies_floor,
@@ -16,7 +17,7 @@ from oriograph.analysis import (
     find_extremal_partition,
     semi_degree_slack,
 )
-from oriograph.generators import d_abc, rotational, transitive
+from oriograph.generators import c3_barrier, d_abc, rotational, t_sk, transitive
 from oriograph.oracles import d_copy_counts as brute_d_copies
 from oriograph.oracles import extremal_partition, random_oriented, random_tournament
 from oriograph.search import random_semi_regular
@@ -165,6 +166,41 @@ def test_extremal_partition_oracle_agrees_with_the_checker():
         assert (found is not None) == exists, trial
         assert found is None or extremal_check(g, found, gamma).ok, trial
         assert found is not None or find_extremal_partition(g, gamma, seed=trial) is None, trial
+
+
+def test_move_costs_against_the_edge_count():
+    # the local search's score for moving v to dst, current total minus
+    # v's cost in its part plus its cost in dst, against the reverse edges
+    # after the move counted straight from the edge list
+    def reverse_edges(g, labels):
+        return sum(labels[b] == (labels[a] - 1) % 3 for a, b in g.edges())
+
+    rng = random.Random("move-costs")
+    for trial in range(40):
+        n = rng.randrange(1, 13)
+        g = (random_tournament if trial % 2 else random_oriented)(rng, n)
+        labels = [rng.randrange(3) for _ in range(n)]
+        masks = [sum(1 << v for v in range(n) if labels[v] == p) for p in range(3)]
+        current = reverse_edges(g, labels)
+        for v in range(n):
+            costs = _move_costs(g.out_rows[v], g.in_rows[v], masks)
+            for dst in range(3):
+                moved = labels[:v] + [dst] + labels[v + 1:]
+                assert current - costs[labels[v]] + costs[dst] == reverse_edges(g, moved), (trial, v, dst)
+
+
+def test_find_extremal_partition_parts_are_pinned():
+    # the parts the local search returns on the barrier families, as the
+    # sha256 of repr(parts): the same moves win every sweep
+    cases = (
+        (c3_barrier(8)[0], "8bc41b5393c00a0566aaadf8d84a1a145ba94e7483697ae186206e1659cdf29e"),
+        (c3_barrier(20)[0], "a1712ffe1ecdc561cc754f8bb1abedc35c9621ed80ec58468531a7985ce827d3"),
+        (t_sk(2, 7).graph, "6fa176c3e9a6c84a8788ad0b4bd9cde2d4025e181291f5c1a6ffcd553861668a"),
+        (t_sk(3, 3).graph, "8dfe2e9959f1390a720c1c4c51baf43efed5b063c166ea81766ed5744a924d52"),
+    )
+    for host, digest in cases:
+        found = find_extremal_partition(host, 0.05)
+        assert hashlib.sha256(repr(found.parts).encode()).hexdigest() == digest, host
 
 
 def test_local_search_misses_a_partition_the_oracle_finds():

@@ -18,6 +18,7 @@ from oriograph.generators import (
     t_sk,
 )
 from oriograph import lattice
+from oriograph.errors import BudgetExceededError
 from oriograph.lattice import (
     edge_vectors,
     find_2_transferrals,
@@ -231,6 +232,20 @@ def test_quotient_bound_on_the_barrier_families():
     # no refutation where a perfect tiling exists
     host, parts = blow_up(rotational(3, [1]), 2)
     assert not quotient_bound(triangle, host, parts).verdict.refutes
+
+
+def test_quotient_bound_work_on_t_sk_is_pinned():
+    # nodes and |U| of D_s against t_sk(s, k), and the budget that just
+    # suffices: the search visits the same maps in the same order
+    for s, k, nodes, size in ((2, 1, 246, 7), (3, 1, 318, 4), (2, 3, 246, 7), (4, 1, 372, 4)):
+        w = t_sk(s, k)
+        pattern = d_abc(s, s, s)[0]
+        bound = quotient_bound(pattern, w.graph, w.partition)
+        assert (bound.nodes, len(bound.vectors)) == (nodes, size), (s, k)
+        assert bound.verdict.refutes, (s, k)
+        assert quotient_bound(pattern, w.graph, w.partition, budget=nodes) == bound
+        with pytest.raises(BudgetExceededError):
+            quotient_bound(pattern, w.graph, w.partition, budget=nodes - 1)
 
 
 def test_quotient_bound_skips_what_cannot_refute():
