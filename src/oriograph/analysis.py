@@ -148,10 +148,10 @@ def _size_window(n, gamma):
 
 def extremal_sizes_fit(n, gamma):
     """Do some three integer sizes summing to n all lie in the size window?
-    If not, no 3-partition of n vertices is gamma-extremal."""
+    If not, no 3-partition of n vertices is gamma-extremal.  The sizes that
+    fit are an interval, so they do iff floor(n/3) and ceil(n/3) fit."""
     lo, hi = _size_window(n, gamma)
-    fit = [s for s in range(n + 1) if lo <= s <= hi]
-    return bool(fit) and 3 * fit[0] <= n <= 3 * fit[-1]
+    return lo <= n // 3 and -(-n // 3) <= hi
 
 
 def extremal_check(graph, partition, gamma):
@@ -193,7 +193,7 @@ def find_extremal_partition(graph, gamma, seed=0):
     """
     n = graph.n
     lo, hi = _size_window(n, gamma)
-    if n < 3:
+    if n < 3 or not extremal_sizes_fit(n, gamma):
         return None
 
     out_rows, in_rows = graph.out_rows, graph.in_rows
@@ -207,8 +207,6 @@ def find_extremal_partition(graph, gamma, seed=0):
         masks = [0, 0, 0]
         for v, lab in enumerate(labels):
             masks[lab] |= 1 << v
-        if not all(lo <= m.bit_count() <= hi for m in masks):
-            continue
         current = sum(_reverse_counts(graph, masks))
         improved = True
         while improved and current > 0:

@@ -14,7 +14,7 @@ and 3 "inconclusive" (a search gave up on its node budget, or
 `analyze --stats extremal` found no partition by local search, a
 heuristic miss; when no part sizes fit the window, it refutes without a
 search).  The probes answer with their report's "outcome", and
-verify-paper with the worst answer of its checks (see tiling.worst).
+verify-paper with verify.run_checks' answer, the worst of its checks.
 Exits 2 and 4 come only from main's handlers: 2 for a usage or I/O
 error or a resource cap hit, 4 for any other exception, a fault of the
 program, whose traceback goes to stderr.  Inputs are checked where they
@@ -42,7 +42,7 @@ from .core import (
     write_partition,
 )
 from .errors import BudgetExceededError, ResourceLimitError
-from .tiling import answer, worst
+from .tiling import answer
 
 log = logging.getLogger("oriograph")
 
@@ -114,6 +114,8 @@ def _read_parts(args, host):
 # embed
 
 def cmd_embed(args):
+    if args.count and args.parts:
+        raise ValueError("--parts is not read with --count")
     pattern = read_graph(args.pattern)
     host = read_graph(args.host)
     partition = _read_parts(args, host)
@@ -210,6 +212,8 @@ def cmd_lattice(args):
 def cmd_analyze(args):
     if args.stats != "extremal" and (args.parts or args.seed is not None or args.gamma is not None):
         raise ValueError("--parts, --seed and --gamma are read only with --stats extremal")
+    if args.parts and args.seed is not None:
+        raise ValueError("--seed is read only without --parts: a given partition is not searched for")
     host = read_graph(args.host)
     partition = _read_parts(args, host)
     if args.stats == "extremal":
@@ -349,7 +353,7 @@ def cmd_verify_paper(args):
     def timing(name, seconds):
         print(f"{name} {seconds:.3f}", file=sys.stderr)
 
-    report = verify.run_checks(args.profile, on_timing=timing if args.timings else None)
+    outcome, report = verify.run_checks(args.profile, on_timing=timing if args.timings else None)
     lines = []
     for check in report["checks"]:
         status = check["status"]
@@ -358,8 +362,7 @@ def cmd_verify_paper(args):
         lines.append(f"{status:20s} {check['name']}")
     s = report["summary"]
     lines.append(f"{s['pass']} pass, {s['fail']} fail, {s['inconclusive']} inconclusive")
-    # the worst answer of any check: one that failed, else one that ran out
-    return worst(a for a, word in verify.STATUS.items() if s[word.lower()]), report, lines
+    return outcome, report, lines
 
 
 def _positive_int(text):
@@ -382,8 +385,6 @@ def build_parser():
     common.add_argument("--json", action="store_true", help="emit a single JSON document on stdout")
     budgeted = argparse.ArgumentParser(add_help=False)
     budgeted.add_argument("--budget", type=_non_negative_int, default=None, help="search node budget")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", default="0", help="seed for randomized search")
 
     parser = argparse.ArgumentParser(
         prog="oriograph",
@@ -458,9 +459,10 @@ def build_parser():
     q.add_argument("--seed", default=None, help="seed for the sampled hosts (default 0)")
     q.set_defaults(func=cmd_probe)
     q = ssub.add_parser(
-        "tile-probe", parents=[common, budgeted, seeded], help="perfect-tiling evidence over samples"
+        "tile-probe", parents=[common, budgeted], help="perfect-tiling evidence over samples"
     )
     q.add_argument("--pattern", required=True)
+    q.add_argument("--seed", default="0", help="seed for the sampled hosts")
     q.add_argument(
         "--n", required=True,
         help="comma-separated host orders, at least one divisible by the pattern order",

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import pytest
+
 from oriograph.core import OrientedGraph, Partition, read_graph
 from oriograph.analysis import (
     _move_costs,
@@ -14,6 +16,7 @@ from oriograph.analysis import (
     d_copies_floor,
     d_copy_counts,
     extremal_check,
+    extremal_sizes_fit,
     find_extremal_partition,
     semi_degree_slack,
 )
@@ -106,6 +109,22 @@ def test_windows_hold_on_sampled_hosts():
             assert counts[v] >= floor
 
 
+def test_slack_is_undefined_on_the_empty_graph():
+    with pytest.raises(ValueError, match="empty graph"):
+        semi_degree_slack(OrientedGraph(0))
+
+
+def test_extremal_check_refuses_a_partition_without_3_parts():
+    host, _ = d_abc(2, 2, 2)
+    with pytest.raises(ValueError, match="3 parts"):
+        extremal_check(host, Partition([[0, 1, 2], [3, 4, 5]]), 0.1)
+
+
+def test_extremal_partition_oracle_refuses_n_above_12():
+    with pytest.raises(ValueError, match="n <= 12, got 13"):
+        extremal_partition(transitive(13), 0.1)
+
+
 def test_extremal_check_on_planted_partition():
     host, parts = d_abc(3, 3, 3)
     verdict = extremal_check(host, parts, gamma=0.05)
@@ -143,6 +162,17 @@ def test_find_extremal_partition_recovers_plant():
     assert verdict.ok
     sizes = sorted(len(p) for p in found.parts)
     assert sizes == [4, 4, 4]
+
+
+def test_extremal_sizes_fit_against_every_size_triple():
+    # some sizes a <= b <= c summing to n all in the window, by brute force
+    for n in range(91):
+        for gamma in [i / 400 for i in range(81)] + [1 / 3, 0.5, 1.0]:
+            lo, hi = (1 / 3 - gamma) * n, (1 / 3 + gamma) * n
+            brute = any(
+                lo <= a and n - a - b <= hi for a in range(n // 3 + 1) for b in range(a, (n - a) // 2 + 1)
+            )
+            assert extremal_sizes_fit(n, gamma) == brute, (n, gamma)
 
 
 def test_find_extremal_partition_gives_up_on_t7():

@@ -501,6 +501,69 @@ def test_verify_paper_exits_by_its_worst_check(monkeypatch, capsys, answers, exp
     assert doc["summary"] == dict(zip(("pass", "fail", "inconclusive"), tally))
 
 
+def test_a_check_out_of_budget_is_inconclusive_and_the_rest_still_run(monkeypatch, capsys):
+    # 50 nodes is far below the fast profile's calibration: the checks whose
+    # searches raise are answered for by run_checks, and none is skipped
+    monkeypatch.setitem(verify.PROFILES, "fast", dict(verify.PROFILES["fast"], budget=50))
+    verdict, report = verify.run_checks("fast")
+    assert verdict == "inconclusive"
+    assert [c["name"] for c in report["checks"]] == [name for name, _ in verify.CHECKS]
+    assert len(report["checks"]) == 13
+    details = {c["name"]: (c["status"], c["detail"]) for c in report["checks"]}
+    note = {"note": "budget of 50 nodes exhausted"}
+    for name in (
+        "c6-power-2-avoids-rotational-7",
+        "blowup-semidegree-and-freeness",
+        "s-avoids-triangle-blowups",
+        "copy-index-vectors",
+        "c3-barrier-family",
+    ):
+        assert details[name] == ("INCONCLUSIVE", note), name
+    code, out = run(capsys, "verify-paper", "--profile", "fast")
+    lines = out.splitlines()
+    assert code == 3
+    assert len(lines) == 14
+    assert lines[0] == f"{'INCONCLUSIVE(budget)':20s} c6-power-2-avoids-rotational-7"
+    s = report["summary"]
+    assert s["fail"] == 0 and s["inconclusive"] >= 5
+    assert lines[-1] == f"{s['pass']} pass, 0 fail, {s['inconclusive']} inconclusive"
+
+
+def budget_handlers_outside_run_checks(source):
+    """The functions of a verify source, other than run_checks, with an
+    except clause that names BudgetExceededError."""
+    def names_budget(handler):
+        caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return any(getattr(node, "id", None) == "BudgetExceededError" for node in caught)
+
+    tree = ast.parse(source)
+    found = []
+    for fn in tree.body:
+        handlers = [node for node in ast.walk(fn) if isinstance(node, ast.ExceptHandler)]
+        if any(names_budget(h) for h in handlers) and getattr(fn, "name", None) != "run_checks":
+            found.append(getattr(fn, "name", fn.lineno))
+    return found
+
+
+def test_only_run_checks_answers_for_a_spent_budget():
+    # what a spent budget means is decided in one place: a check that
+    # caught the error itself would answer in words of its own
+    source = Path(verify.__file__).read_text()
+    assert budget_handlers_outside_run_checks(source) == []
+    [run_checks] = [
+        fn for fn in ast.parse(source).body if isinstance(fn, ast.FunctionDef) and fn.name == "run_checks"
+    ]
+    assert "BudgetExceededError" in ast.unparse(run_checks)
+    # the guard catches a check that handles the error itself
+    line = 'hyper = tiling.copy_hypergraph(pattern, w.graph, budget=p["budget"])'
+    assert source.count(line) == 1
+    local = (
+        "try:\n            " + line
+        + "\n        except BudgetExceededError:\n            return (\"inconclusive\", {})"
+    )
+    assert budget_handlers_outside_run_checks(source.replace(line, local)) == ["check_copy_index_vectors"]
+
+
 def test_internal_errors_exit_4(monkeypatch, paths, caplog):
     def broken(args):
         raise RuntimeError("a fault of the program")
@@ -635,6 +698,12 @@ def test_usage_errors(tmp_path, capsys):
     parts.write_text("0 1\n2 3\n4 5 6\n")
     assert cli.main(["analyze", "--host", str(t7), "--parts", str(parts)]) == 2
     assert cli.main(["analyze", "--host", str(t7), "--parts", str(parts), "--stats", "extremal"]) in (0, 1)
+    capsys.readouterr()
+    # nor a seed with a given partition, which is checked, not searched for;
+    # embed --count reads no partition
+    extremal = ["analyze", "--host", str(t7), "--parts", str(parts), "--stats", "extremal"]
+    assert cli.main([*extremal, "--seed", "9"]) == 2
+    assert cli.main(["embed", "--pattern", str(t7), "--host", str(t7), "--parts", str(parts), "--count"]) == 2
     capsys.readouterr()
     # a gamma outside [0, inf) is a usage error, not a refutation
     for gamma in ("-0.5", "nan", "inf"):

@@ -74,6 +74,17 @@ def test_from_out_rows_checks_antisymmetry():
         OrientedGraph.from_out_rows(1, (0b10,))
 
 
+def test_from_out_rows_refuses_a_row_count_other_than_n():
+    with pytest.raises(ValueError, match="row count does not match n"):
+        OrientedGraph.from_out_rows(3, (0b010, 0b100))
+
+
+def test_vertex_queries_refuse_a_vertex_out_of_range():
+    g = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(ValueError, match="vertex 3 out of range for n=3"):
+        g.out_degree(3)
+
+
 def test_classify():
     triangle = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
     cls = triangle.classify()
@@ -204,6 +215,16 @@ def test_parse_errors_carry_line_numbers():
     for bad in ("1 2 3\n", "2 -1\n"):
         with pytest.raises(ParseError):
             parse(bad)
+
+
+@pytest.mark.parametrize(
+    "text, line, words",
+    [("3 x\n", 1, "header must be two integers"), ("3 1\n0 1 2\n", 2, "edge line must be 'u v'")],
+)
+def test_parse_refuses_a_malformed_header_or_edge_line(text, line, words):
+    with pytest.raises(ParseError, match=words) as err:
+        parse(text)
+    assert err.value.line == line
 
 
 def test_partition_round_trip_and_errors():

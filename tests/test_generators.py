@@ -126,6 +126,11 @@ def test_t_sk():
         t_sk(1, 1)
 
 
+def test_t_sk_refuses_a_negative_k():
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        t_sk(2, -1)
+
+
 def test_c3_barrier():
     for n in (2, 3, 4, 5):
         g, parts = c3_barrier(n)

@@ -64,6 +64,12 @@ def test_residue_lattice_small_cases():
         lat.contains((0, 0, 0))
 
 
+@pytest.mark.parametrize("modulus, dimension", [(0, 2), (6, 0)])
+def test_residue_lattice_refuses_a_modulus_or_dimension_below_1(modulus, dimension):
+    with pytest.raises(ValueError, match="must be positive"):
+        residue_lattice([], modulus, dimension)
+
+
 def test_residue_lattice_against_the_span_oracle():
     # membership of every residue vector, a negative representative of
     # each member, the size, and one record per subgroup: the span
@@ -126,6 +132,13 @@ def test_edge_vectors_reject_a_partition_of_another_vertex_set():
             edge_vectors(hyper, Partition(parts))
         with pytest.raises(ValueError):
             tiling_lattice_precheck(hyper, Partition(parts))
+
+
+def test_edge_vectors_refuse_a_threshold_below_1():
+    host, parts = c3_barrier(2)
+    hyper = copy_hypergraph(f_r(1), host)
+    with pytest.raises(ValueError, match="threshold must be at least 1"):
+        edge_vectors(hyper, parts, threshold=0)
 
 
 def test_transferrals_against_inline_brute_force():

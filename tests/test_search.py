@@ -10,6 +10,7 @@ import pytest
 
 from oriograph.core import OrientedGraph, isomorphic_brute, serialize
 from oriograph.embed import count_embeddings, find_embedding
+from oriograph.errors import BudgetExceededError
 from oriograph.generators import cycle_power, d_abc, f_r, graph_s, rotational, semi_regular_tournament
 from oriograph import analysis, cli, generators, oracles, search, tiling, verify
 from oriograph.oracles import random_oriented, random_tournament
@@ -508,13 +509,33 @@ def test_verify_evidence_checks_are_inconclusive_out_of_budget():
     assert detail["n=8"] == {"tiled": 0, "samples": 2}
 
 
-def test_verify_copy_checks_are_inconclusive_out_of_budget():
+def test_verify_copy_checks_are_inconclusive_out_of_budget(monkeypatch):
     # the profile's budget caps every copy enumeration in verify, the
-    # c3-barrier check's included
+    # c3-barrier check's included; the checks raise, and run_checks answers
     starved = dict(SMALL, budget=1)
-    note = {"note": "budget exhausted during copy enumeration"}
-    assert verify.check_copy_index_vectors(starved) == ("inconclusive", note)
-    assert verify.check_c3_barrier_family(starved) == ("inconclusive", note)
+    names = ("copy-index-vectors", "c3-barrier-family")
+    checks = tuple((name, fn) for name, fn in verify.CHECKS if name in names)
+    for _, fn in checks:
+        with pytest.raises(BudgetExceededError):
+            fn(starved)
+    monkeypatch.setitem(verify.PROFILES, "fast", starved)
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    verdict, report = verify.run_checks("fast")
+    assert verdict == "inconclusive"
+    note = {"note": "budget of 1 nodes exhausted"}
+    assert [(c["name"], c["status"], c["detail"]) for c in report["checks"]] == [
+        (name, "INCONCLUSIVE", note) for name in names
+    ]
+
+
+def test_turanability_probe_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'census'"):
+        turanability_probe(graph_s(), (9,), mode="census")
+
+
+def test_run_checks_refuses_an_unknown_profile():
+    with pytest.raises(ValueError, match="unknown profile 'quick'"):
+        verify.run_checks("quick")
 
 
 def test_tsk_refutations_read_each_mode_as_an_answer(monkeypatch):

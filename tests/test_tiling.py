@@ -324,6 +324,19 @@ def test_partition_of_another_vertex_set_is_refused_before_any_search():
             perfect_tiling(f_r(1), host, partition=bad, budget=budget)
 
 
+@pytest.mark.parametrize("search", [copy_hypergraph, perfect_tiling])
+def test_a_pattern_with_no_vertex_is_refused(search):
+    with pytest.raises(ValueError, match="pattern must have at least one vertex"):
+        search(OrientedGraph(0), f_r(1))
+
+
+def test_hypergraph_matching_needs_k_to_divide_n():
+    # 3 does not divide 7: no matching, and no node is spent finding that out
+    hyper = copy_hypergraph(f_r(1), rotational(7, [1, 2, 4]))
+    assert (hyper.n, hyper.k) == (7, 3) and hyper.edges
+    assert hypergraph_perfect_matching(hyper, budget=0) is None
+
+
 def test_hypergraph_matching_budget():
     w = t_sk(2, 1)
     d2, _ = d_abc(2, 2, 2)
